@@ -4,8 +4,7 @@ One computation per invocation: parse the inputs, run the engine, and
 emit a report on stdout as JSON, CSV, or a human-readable text table.
 Every report embeds its inputs after normalization (parsed and printed
 back), so a result can be reproduced from the report alone.  Wall time
-goes to stderr, keeping stdout byte-identical across repeated runs and
-thread counts.
+goes to stderr, keeping stdout byte-identical across repeated runs.
 
 Exit codes: 0 on success, 1 when a well-formed computation fails
 (no twist solution, violated precondition), 2 on usage errors.
@@ -13,7 +12,6 @@ Exit codes: 0 on success, 1 when a well-formed computation fails
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -48,15 +46,6 @@ __all__ = ["main", "build_parser"]
 
 class UsageError(Exception):
     pass
-
-
-def _threads():
-    raw = os.environ.get("DXEXT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"DXEXT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
 
 
 def _parse_element(text, n=None, what="element"):
@@ -400,8 +389,11 @@ def cmd_irreducible_dims(args):
 
 def _read_curve(text):
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read curve file: {exc}") from exc
     try:
         return CurveSpec.from_json(text)
     except (ValueError, json.JSONDecodeError) as exc:
@@ -503,7 +495,7 @@ def cmd_quotient_cech(args):
 
 
 def cmd_verify(args):
-    results = run_suite(args.suite, threads=_threads())
+    results = run_suite(args.suite)
     lines = []
     for r in results:
         word = "PASS" if r.passed else "FAIL"
@@ -705,8 +697,12 @@ def main(argv=None):
         print(f"wall time: {elapsed:.3f}s", file=sys.stderr)
     output = rendered.emit(args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(output + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(output + "\n")
+        except OSError as exc:
+            print(f"usage error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         print(output)
     return getattr(rendered, "exit_code", 0)

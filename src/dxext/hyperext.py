@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grading import GradedMonomialIndex, monomials_of_degree
-from .linalg import SparseEchelon, SparseMatrix, solve
+from .linalg import SparseEchelon
 from .models import act_word
 from .rewrite import node_system
 from .tables import EXACT_GRADED, EXACT_ZERO, STABILIZED, TruncationLevel, TruncationTable
@@ -82,7 +82,7 @@ class SelfExtEngine:
         self.n = f.n
         self.fdeg = f.degree()
         self.index = GradedMonomialIndex(f.n)
-        self.echelon = SparseEchelon(trailing=True)
+        self.echelon = SparseEchelon()
         self.width = self.fdeg - 1
 
     def widen_to(self, width):
@@ -211,7 +211,7 @@ def ext_module_dims(module, f, max_deg, stab_window=3):
     fdeg = f.degree()
     idx = ModuleIndex(module)
     idx.extend_to(max_deg + fdeg)
-    echelon = SparseEchelon(trailing=True)
+    echelon = SparseEchelon()
 
     def add_rows(vdeg):
         for lab in idx.labels_of_degree(vdeg):
@@ -290,47 +290,36 @@ class EndElement:
         return True
 
 
+def _leading_term(elem):
+    """The (monomial, coefficient) of elem that is largest in graded
+    order on the exponent tuple xexp + dexp."""
+    return max(elem.terms.items(), key=lambda t: (sum(t[0][0]) + sum(t[0][1]), t[0][0] + t[0][1]))
+
+
 def solve_twist(f, alpha):
     """The unique beta with f*beta = alpha*f, as an EndElement.
 
-    The unknown beta has Bernstein degree exactly deg alpha (degree
-    additivity), so its coefficients over monomials of degree
-    <= deg alpha satisfy a finite linear system.  No solution means
-    alpha*f is not in fD, i.e. alpha's class is not an endomorphism.
+    f has no d terms, so in normal-ordered coordinates f*beta is the
+    commutative product of f and beta, and beta is the quotient of
+    alpha*f by f.  Division reduces on the leading monomial of f in
+    graded order.  {f} is a Groebner basis of its principal ideal, so a
+    leading term whose x part lm(f) does not divide proves that alpha*f
+    is not in fD, i.e. alpha's class is not an endomorphism.
     """
     _require_poly(f)
     if alpha.n != f.n:
         raise ValueError("variable count mismatch")
-    n = f.n
-    if alpha.is_zero:
-        return EndElement(alpha, WeylElement.zero(n))
-    target = alpha * f
-    kdeg = alpha.degree()
-    index = GradedMonomialIndex(n)
-    index.extend_to(kdeg + f.degree())
-    ncols = index.prefix_size(kdeg)
-    eq_rows = {}
-    for col in range(ncols):
-        xexp, dexp = index.monomial(col)
-        prod = f * WeylElement.monomial(n, xexp, dexp)
-        for mono, c in prod.terms.items():
-            eq_rows.setdefault(index.index(mono), {})[col] = c
-    eq_ids = sorted(set(eq_rows) | {index.index(m) for m in target.terms})
-    matrix = SparseMatrix([eq_rows.get(e, {}) for e in eq_ids], ncols)
-    rhs = {}
-    for pos, e in enumerate(eq_ids):
-        mono = index.monomial(e)
-        c = target.terms.get(mono)
-        if c:
-            rhs[pos] = c
-    sol = solve(matrix, rhs)
-    if sol is None:
-        raise NoTwistSolution(f"{alpha} * {f} is not a left multiple of {f}")
-    terms = {}
-    for col, c in sol.items():
-        if c:
-            terms[index.monomial(col)] = Fraction(c)
-    beta = WeylElement(n, terms)
+    (lead_x, _), lead_c = _leading_term(f)
+    rest = alpha * f
+    beta = WeylElement.zero(f.n)
+    while rest:
+        (xexp, dexp), c = _leading_term(rest)
+        qx = tuple(a - b for a, b in zip(xexp, lead_x))
+        if min(qx) < 0:
+            raise NoTwistSolution(f"{alpha} * {f} is not a left multiple of {f}")
+        q = WeylElement.monomial(f.n, qx, dexp, c / lead_c)
+        beta = beta + q
+        rest = rest - f * q
     end = EndElement(alpha, beta)
     end.verify(f)
     return end
@@ -402,7 +391,7 @@ def _reduce_module_class(module, f, comb):
     vbound = bound if bound is not None else top + f.degree() + 3
     idx = ModuleIndex(module)
     idx.extend_to(max(top, vbound + f.degree()))
-    echelon = SparseEchelon(trailing=True)
+    echelon = SparseEchelon()
     for d in range(vbound + 1):
         for lab in idx.labels_of_degree(d):
             echelon.add(idx.vector(act_word(module, {lab: Fraction(1)}, f)))

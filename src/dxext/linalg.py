@@ -1,68 +1,23 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse echelon forms over the rationals.
 
 Vectors are dicts mapping column index to a nonzero coefficient.  Ranks
 and span intersections run fraction-free on primitive integer rows
-(content divided out, so coefficients stay small); solving returns
-genuine Fraction solutions.
+(content divided out, so coefficients stay small).
 
-SparseEchelon keeps one row per pivot column.  In trailing mode the
-pivot is the largest column of the row, which makes prefix queries
-exact: with columns enumerated degree by degree, the number of rows
-whose pivot falls inside the first k columns equals the dimension of
-the intersection of the span with that coordinate prefix.
+SparseEchelon keeps one row per pivot column.  The pivot is the largest
+column of the row, which makes prefix queries exact: with columns
+enumerated degree by degree, the number of rows whose pivot falls
+inside the first k columns equals the dimension of the intersection of
+the span with that coordinate prefix.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-__all__ = [
-    "SparseMatrix",
-    "IndexedBasis",
-    "SparseEchelon",
-    "span_dim",
-    "solve",
-    "quotient_dims",
-]
-
-
-@dataclass
-class SparseMatrix:
-    """Rows of sparse rational vectors with a fixed column count."""
-
-    rows: list
-    ncols: int
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-
-class IndexedBasis:
-    """Ordered basis labels with O(1) index lookup."""
-
-    __slots__ = ("items", "_index")
-
-    def __init__(self, items):
-        self.items = list(items)
-        self._index = {label: i for i, label in enumerate(self.items)}
-        if len(self._index) != len(self.items):
-            raise ValueError("duplicate basis label")
-
-    def index(self, label):
-        return self._index[label]
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __contains__(self, label):
-        return label in self._index
+__all__ = ["SparseEchelon"]
 
 
 def _to_primitive(vec):
@@ -92,28 +47,24 @@ class SparseEchelon:
     """Incremental row echelon over Q, fraction-free integer rows.
 
     Rows are primitive integer vectors keyed by pivot column; no two
-    rows share a pivot.  trailing=True pivots on the largest column.
+    rows share a pivot, and each row pivots on its largest column.
     """
 
-    __slots__ = ("rows", "trailing", "_pivots")
+    __slots__ = ("rows", "_pivots")
 
-    def __init__(self, trailing=True):
+    def __init__(self):
         self.rows = {}
-        self.trailing = trailing
         self._pivots = []  # sorted pivot columns
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _pivot_of(self, vec):
-        return max(vec) if self.trailing else min(vec)
-
     def residual(self, vec):
         """Primitive integer residual of vec against the current rows."""
         work = _to_primitive(vec)
         while work:
-            p = self._pivot_of(work)
+            p = max(work)
             row = self.rows.get(p)
             if row is None:
                 return work
@@ -143,7 +94,7 @@ class SparseEchelon:
         r = self.residual(vec)
         if not r:
             return False
-        p = self._pivot_of(r)
+        p = max(r)
         if r[p] < 0:
             r = {c: -v for c, v in r.items()}
         self.rows[p] = r
@@ -154,7 +105,7 @@ class SparseEchelon:
         return not self.residual(vec)
 
     def pivots_below(self, k):
-        """Number of pivot columns < k; in trailing mode this equals
+        """Number of pivot columns < k, which equals
         dim(span intersected with coordinates 0..k-1)."""
         return bisect_left(self._pivots, k)
 
@@ -163,7 +114,7 @@ class SparseEchelon:
         work = {c: Fraction(v) for c, v in vec.items() if v}
         while True:
             hit = None
-            for p in (sorted(work, reverse=True) if self.trailing else sorted(work)):
+            for p in sorted(work, reverse=True):
                 if p in self.rows:
                     hit = p
                     break
@@ -177,77 +128,3 @@ class SparseEchelon:
                     work[c] = nv
                 else:
                     work.pop(c, None)
-
-
-def span_dim(vectors, ncols):
-    """Rank of the span.  Rows are processed sparsest first (then input
-    order) to limit coefficient growth; the result is order independent."""
-    ech = SparseEchelon(trailing=False)
-    order = sorted(range(len(vectors)), key=lambda i: (len(vectors[i]), i))
-    for i in order:
-        vec = vectors[i]
-        if any(c < 0 or c >= ncols for c in vec):
-            raise ValueError("column index out of range")
-        ech.add(vec)
-    return ech.rank
-
-
-def solve(matrix, b):
-    """One exact solution x of matrix * x = b, or None when inconsistent.
-
-    matrix rows are sparse vectors over columns 0..ncols-1; b maps row
-    index to its right-hand side.  Free variables are set to zero, so
-    the result is the reduced-echelon particular solution.
-    """
-    rows = [
-        {c: Fraction(v) for c, v in row.items() if v}
-        for row in matrix.rows
-    ]
-    rhs = [Fraction(b.get(i, 0)) for i in range(len(rows))]
-    ncols = matrix.ncols
-    remaining = set(range(len(rows)))
-    pivots = []  # (column, row index)
-    for col in range(ncols):
-        best = None
-        for r in remaining:
-            if rows[r].get(col):
-                key = (len(rows[r]), r)
-                if best is None or key < best[0]:
-                    best = (key, r)
-        if best is None:
-            continue
-        r = best[1]
-        remaining.discard(r)
-        pivots.append((col, r))
-        inv = 1 / rows[r][col]
-        rows[r] = {c: v * inv for c, v in rows[r].items()}
-        rhs[r] *= inv
-        for s in list(remaining):
-            factor = rows[s].get(col)
-            if not factor:
-                continue
-            for c, v in rows[r].items():
-                nv = rows[s].get(c, Fraction(0)) - factor * v
-                if nv:
-                    rows[s][c] = nv
-                else:
-                    rows[s].pop(c, None)
-            rhs[s] -= factor * rhs[r]
-    for r in remaining:
-        if not rows[r] and rhs[r]:
-            return None
-    x = {}
-    for col, r in reversed(pivots):
-        val = rhs[r]
-        for c, v in rows[r].items():
-            if c != col:
-                val -= v * x.get(c, Fraction(0))
-        if val:
-            x[col] = val
-    return x
-
-
-def quotient_dims(ambient, vectors):
-    """dim(ambient) - dim(span of vectors inside it)."""
-    ncols = len(ambient) if isinstance(ambient, IndexedBasis) else int(ambient)
-    return ncols - span_dim(vectors, ncols)

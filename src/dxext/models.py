@@ -207,28 +207,23 @@ class DeltaModule:
         return {tuple(exp): Fraction(label[i])}
 
     def mf_level_bound(self, f, level):
-        # For x-homogeneous f of degree s, acting by f shifts the grading
-        # by exactly -s, so F_level meets M*f inside (F_(level+s))*f.
-        if not f.is_polynomial:
-            return None
-        degs = {sum(xexp) for xexp, _ in f.terms}
-        if len(degs) != 1:
-            return None
-        return level + degs.pop()
+        return _homogeneous_mf_level_bound(f, level)
 
 
-def _ic_mf_level_bound(f, level):
-    """Generator bound for the line models, exact for homogeneous f.
+def _homogeneous_mf_level_bound(f, level):
+    """Generator bound for delta and the line models, exact for homogeneous f.
 
-    Acting by homogeneous f of degree s shifts the auxiliary grading
-    (x or e exponent minus dy exponent) by exactly s.  Within one
-    auxiliary grade the labels are totally ordered by dy exponent, and
-    v*f has a nonzero component at the dy level just below v's top
-    (through f's lowest y-power monomial, with leading coefficient a
-    nonzero falling factorial).  That triangularity forces any member
-    of M*f lying in filtration level m to be a combination of v*f with
-    deg v <= m + s; see the self-Ext engine notes for why no such bound
-    exists in the two-sided case.
+    On delta, acting by x-homogeneous f of degree s shifts the grading
+    by exactly -s, so F_level meets M*f inside (F_(level+s))*f.  On the
+    line models, acting by homogeneous f of degree s shifts the
+    auxiliary grading (x or e exponent minus dy exponent) by exactly
+    s.  Within one auxiliary grade the labels are totally ordered by dy
+    exponent, and v*f has a nonzero component at the dy level just
+    below v's top (through f's lowest y-power monomial, with leading
+    coefficient a nonzero falling factorial).  That triangularity
+    forces any member of M*f lying in filtration level m to be a
+    combination of v*f with deg v <= m + s; see the self-Ext engine
+    notes for why no such bound exists in the two-sided case.
     """
     if not f.is_polynomial:
         return None
@@ -268,7 +263,7 @@ class LineICModule:
         return {(i, j + 1): Fraction(1)}
 
     def mf_level_bound(self, f, level):
-        return _ic_mf_level_bound(f, level)
+        return _homogeneous_mf_level_bound(f, level)
 
 
 class KummerICModule:
@@ -315,7 +310,7 @@ class KummerICModule:
         return {(k, j + 1): Fraction(1)}
 
     def mf_level_bound(self, f, level):
-        return _ic_mf_level_bound(f, level)
+        return _homogeneous_mf_level_bound(f, level)
 
 
 class DXQuotientModule:
@@ -336,7 +331,7 @@ class DXQuotientModule:
         self.name = f"dx:{f}"
         self._fdeg = f.degree()
         self._index = GradedMonomialIndex(f.n)
-        self._echelon = SparseEchelon(trailing=True)
+        self._echelon = SparseEchelon()
         self._built_degree = -1
 
     def _extend(self, degree):

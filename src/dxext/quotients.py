@@ -307,26 +307,16 @@ def one_minus_g_span_dims(action, max_deg):
 
     Computed the explicit way: for each degree, each pair (g, d^b)
     contributes (1 - zeta^{<w,b>}) d^b, so the span collects the
-    monomials whose coefficient is nonzero in the cyclotomic field.
-    Equals total minus invariant dimensions.
+    monomials whose coefficient is nonzero, i.e. those with
+    <w,b> != 0 mod N for some g.  Equals total minus invariant
+    dimensions.
     """
-    phi = cyclotomic_polynomial(action.order)
     elements = action.elements()
     dims = []
     for m in range(max_deg + 1):
         touched = 0
         for b in compositions(m, action.n):
-            hit = False
-            for w in elements:
-                k = sum(v * e for v, e in zip(w, b)) % action.order
-                # 1 - z^k reduced mod Phi_N is nonzero iff k != 0
-                vec = [0] * action.order
-                vec[0] += 1
-                vec[k] -= 1
-                if any(_reduce_mod(vec, phi)):
-                    hit = True
-                    break
-            if hit:
+            if any(sum(v * e for v, e in zip(w, b)) % action.order for w in elements):
                 touched += 1
         dims.append(touched)
     return GradedDims(

@@ -119,8 +119,6 @@ class RewriteSystem:
                     acc.pop(rmono, None)
         return WeylElement(self.n, acc)
 
-    reduce = normal_form
-
     def irreducible_projection(self, elem):
         """Drop every reducible monomial, keeping irreducible terms as is.
 

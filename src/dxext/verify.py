@@ -13,7 +13,6 @@ not just an annoyance.
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -575,17 +574,10 @@ SUITES = {
 SUITE_NAMES = list(SUITES) + ["all"]
 
 
-def run_suite(name, threads=1):
+def run_suite(name):
     """Run one suite (or all of them) and return ordered CheckResults."""
     if name == "all":
-        order = list(SUITES)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(SUITES[key]) for key in order]
-                chunks = [f.result() for f in futures]
-        else:
-            chunks = [SUITES[key]() for key in order]
-        return [result for chunk in chunks for result in chunk]
+        return [result for suite in SUITES.values() for result in suite()]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return SUITES[name]()

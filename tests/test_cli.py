@@ -198,6 +198,16 @@ def test_curve_predict_bad_json(capsys):
     assert code == 2
 
 
+def test_curve_predict_missing_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "curve-predict", "--curve", f"@{missing}")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    usage = [line for line in err.splitlines() if line.startswith("usage error")]
+    assert len(usage) == 1 and str(missing) in usage[0]
+
+
 def test_curve_crosscheck(capsys):
     code, out, _ = run(
         capsys, "curve-crosscheck", "--n", "2", "--model", "delta",
@@ -284,6 +294,15 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())["result"]
     assert [lvl["dim"] for lvl in data["levels"]] == [1, 3, 7, 13]
+
+
+def test_output_to_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.json"
+    code, out, err = run(capsys, "ext-self", "--f", "x*y", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("usage error")]) == 1
 
 
 def test_stdout_deterministic(capsys):

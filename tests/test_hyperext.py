@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dxext.curves import planar_model
 from dxext.hyperext import (
     EndElement,
     ModuleIndex,
@@ -131,6 +132,41 @@ def test_end_membership():
     assert end_membership(f, a + b)
     assert end_membership(f, a * b)
     assert end_membership(f, f * P("dx^3"))
+
+
+CUSP = P("y^2 - x^3")
+CUSP_EULER = P("2*x*dx + 3*y*dy")
+G = P("x dy^2 + dx")
+
+# name -> (f, alpha, beta).  Weighted Euler operators theta satisfy
+# theta*f = f*(theta + weighted degree of f).
+TWIST_CASES = {
+    "cusp": (CUSP, CUSP_EULER, CUSP_EULER + 6),
+    "three-lines": (planar_model(3), P("x*dx + y*dy"), P("x*dx + y*dy + 3")),
+    "xyz": (parse("x*y*z", 3), parse("z*dz", 3), parse("z*dz + 1", 3)),
+    "lead-coefficient-3": (P("3*x^2*y - y^2"), P("x*dx + 2*y*dy"), P("x*dx + 2*y*dy + 4")),
+    "alpha-zero": (P("x*y"), WeylElement.zero(2), WeylElement.zero(2)),
+    "member-plus-f-times-g": (CUSP, CUSP_EULER + CUSP * G, CUSP_EULER + 6 + G * CUSP),
+}
+
+
+@pytest.mark.parametrize("name", list(TWIST_CASES))
+def test_twist_by_division(name):
+    f, alpha, beta = TWIST_CASES[name]
+    el = solve_twist(f, alpha)
+    assert alpha * f == f * el.beta
+    assert el.beta == beta
+
+
+@pytest.mark.parametrize("name", list(TWIST_CASES))
+def test_twist_division_rejects_non_member(name):
+    # (h + dx)*f = f*(beta + dx) + df/dx, and the nonzero df/dx has
+    # degree below deg f, so it is not in fD.
+    f, h, _ = TWIST_CASES[name]
+    bad = h + WeylElement.d(0, f.n)
+    with pytest.raises(NoTwistSolution):
+        solve_twist(f, bad)
+    assert end_membership(f, bad) is None
 
 
 def test_end_element_verify_detects_mismatch():

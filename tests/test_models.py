@@ -114,14 +114,14 @@ def test_kummer_lambda_integer_rejected():
 def test_mf_level_bound_is_sufficient():
     # The bound must be large enough that basis(bound)*f exhausts
     # M*f intersected with F_level; checked against two degrees more.
-    from dxext.linalg import IndexedBasis, SparseEchelon
+    from dxext.linalg import SparseEchelon
 
     f = parse("x*y", 2)
     level = 4
     for module in (FreeWeylModule(2), DeltaModule(2), LineICModule(2), KummerICModule(Fraction(1, 2))):
         bound = module.mf_level_bound(f, level)
         assert bound is not None
-        ambient = IndexedBasis(module.basis(level))
+        ambient = {label: i for i, label in enumerate(module.basis(level))}
 
         def span_rank(source_bound, module=module, ambient=ambient):
             ech = SparseEchelon()
@@ -129,7 +129,7 @@ def test_mf_level_bound_is_sufficient():
                 full = act_word(module, {label: Fraction(1)}, f)
                 if any(k not in ambient for k in full):
                     continue
-                vec = {ambient.index(k): v for k, v in full.items()}
+                vec = {ambient[k]: v for k, v in full.items()}
                 if vec:
                     ech.add(vec)
             return ech.rank
