@@ -1,15 +1,18 @@
 """The node x*y, computed twice.
 
-Route one builds the two-sided span {g*f, f*g} with exact sparse linear
-algebra and reads level dimensions off a trailing echelon.  Route two
+Route one builds the span of the products g*f in D/fD (normal forms by
+left division by f) with exact sparse linear algebra and reads level
+dimensions off a trailing echelon.  Route two
 counts irreducible monomials of a confluent rewrite system.  The two
 answers must match level by level; their agreement is the package's
 central cross-validation.
 """
 
-from dxext.hyperext import SelfExtEngine, ext1_self_dims
+from dxext.hyperext import CokernelEngine, ext1_self_dims
+from dxext.models import DXQuotientModule
 from dxext.parser import parse
 from dxext.rewrite import confluence_check, irreducible_dims, node_system
+from dxext.weyl import WeylElement
 
 f = parse("x*y", 2)
 MAX_DEG = 5
@@ -43,7 +46,10 @@ print()
 e = parse("x dx^2", 2)
 print("normal form of", e, "is", system.normal_form(e))
 
-engine = SelfExtEngine(f)
-engine.widen_to(8)
-print("canonical class of", e, "is", engine.reduce_class(e))
+# Route one's representative: the remainder of left division by f in
+# D/fD, reduced against the rows NF(g*f) with deg g <= 6.
+quotient = DXQuotientModule(f)
+engine = CokernelEngine(quotient, lambda g: quotient.reduce_element(WeylElement.monomial(2, *g) * f))
+engine.widen_to(6)
+print("canonical class of", e, "is", WeylElement(2, engine.reduce(quotient.reduce_element(e))))
 print("(both representatives differ from the input by ideal members)")

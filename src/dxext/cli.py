@@ -80,11 +80,17 @@ def _get_group(text):
         raise UsageError(f"cannot parse group {text!r}: {exc}") from exc
 
 
-def _get_character(text):
+def _get_character(text, group):
     try:
-        return parse_character(text)
+        chi = parse_character(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse character {text!r}: {exc}") from exc
+    if len(chi.exponents) != group.n:
+        raise UsageError(
+            f"character {text!r} has {len(chi.exponents)} entries, "
+            f"the group acts on {group.n} coordinates"
+        )
+    return chi
 
 
 def _get_model(text):
@@ -445,7 +451,7 @@ def _dims_report(command, inputs, dims, extra=None):
 
 def cmd_quotient_isotypic(args):
     group = _get_group(args.group)
-    chi = _get_character(args.character)
+    chi = _get_character(args.character, group)
     dims = isotypic_dims(group, chi, args.max_deg)
     extra = {}
     if args.molien_check:
@@ -484,7 +490,7 @@ def cmd_quotient_rend(args):
 
 def cmd_quotient_cech(args):
     group = _get_group(args.group)
-    chi = _get_character(args.character)
+    chi = _get_character(args.character, group)
     dims = hypersurface_cech_dims(group, chi, args.max_deg)
     inputs = {
         "group": args.group.strip(),

@@ -2,8 +2,9 @@
 
 Monomials (x_exponents, d_exponents) are enumerated degree by degree,
 lexicographically within a degree, so the monomials of Bernstein degree
-at most m always form a prefix of the enumeration.  Indices are stable
-under extension, which lets echelon pivots answer per-level questions.
+at most m always form a prefix of the enumeration.  Positions are
+stable under extension, which lets echelon pivots answer per-level
+questions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ __all__ = [
     "compositions",
     "monomials_of_degree",
     "count_through_degree",
-    "GradedMonomialIndex",
 ]
 
 
@@ -40,39 +40,3 @@ def count_through_degree(n, d):
     if d < 0:
         return 0
     return math.comb(d + 2 * n, 2 * n)
-
-
-class GradedMonomialIndex:
-    """Lazy stable numbering of Weyl monomials in graded order."""
-
-    __slots__ = ("n", "_index", "_items", "_max_degree")
-
-    def __init__(self, n):
-        self.n = n
-        self._index = {}
-        self._items = []
-        self._max_degree = -1
-
-    def extend_to(self, degree):
-        while self._max_degree < degree:
-            self._max_degree += 1
-            for mono in monomials_of_degree(self.n, self._max_degree):
-                self._index[mono] = len(self._items)
-                self._items.append(mono)
-
-    def index(self, mono):
-        deg = sum(mono[0]) + sum(mono[1])
-        if deg > self._max_degree:
-            self.extend_to(deg)
-        return self._index[mono]
-
-    def monomial(self, i):
-        return self._items[i]
-
-    def prefix_size(self, degree):
-        """Index count covering all monomials of degree <= degree."""
-        return count_through_degree(self.n, degree)
-
-    def vector(self, elem):
-        """Sparse coefficient vector of a WeylElement in this numbering."""
-        return {self.index(mono): c for mono, c in elem.terms.items()}

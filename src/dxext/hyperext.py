@@ -7,16 +7,24 @@ multiplication by f on M, so
 
   Ext^0(D_X, M) = kernel of .f on M      Ext^1(D_X, M) = M / Mf
 
-and everything above degree one vanishes.  With M = D_X itself the
-cokernel is D/(Df + fD), which is where all the subtlety lives: D is
-filtered but not graded (dx = xd + 1 mixes Bernstein degrees), so the
-part of Df + fD inside a filtration level F_m admits no a-priori
-generator-degree bound.  Already for
-f = x the element 1 = d*x - x*d lies in F_0 yet needs degree-1
-generators.  The self-Ext engine therefore widens the generator degree
-until the per-level dimensions are constant over a window and reports
-them as stabilized upper bounds; a computed zero, however, is exact,
-because the computed value always dominates the true dimension.
+and everything above degree one vanishes.  Every table comes from one
+engine: an echelon of the rows v*f for the basis labels v of M, added
+degree by degree, in M's own label coordinates.
+
+With M = D_X itself the cokernel is D/(Df + fD).  D/fD has the
+standard monomials (those lm(f) does not divide) as a basis and left
+division by f as its normal form, so the self route is the module
+route on D/fD, with rows NF(g*f) for standard g.  D is filtered but
+not graded (dx = xd + 1 mixes Bernstein degrees), so the part of
+Df + fD inside a filtration level F_m admits no a-priori generator
+degree bound.  Already for f = x the element 1 = d*x - x*d lies in F_0
+yet needs degree-1 generators.  The engine therefore widens the label
+degree until the per-level dimensions are constant over a window and
+reports them as stabilized upper bounds; a computed zero, however, is
+exact, because the computed value always dominates the true dimension.
+A table's generator_width is the largest degree of a row product g*f
+in the span: the label degree for the module route, and the label
+degree plus deg f for the self route.
 
 For one-sided questions exactness is free: v*f is nonzero of degree
 deg v + deg f whenever v is nonzero (degree additivity in a domain),
@@ -35,15 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grading import GradedMonomialIndex, monomials_of_degree
 from .linalg import SparseEchelon
-from .models import act_word
+from .models import DXQuotientModule, act_word
 from .rewrite import node_system
 from .tables import EXACT_GRADED, EXACT_ZERO, STABILIZED, TruncationLevel, TruncationTable
-from .weyl import Filtration, WeylElement
+from .weyl import Filtration, WeylElement, divide_left, mul_terms
 
 __all__ = [
-    "SelfExtEngine",
+    "CokernelEngine",
     "ext1_self_dims",
     "ModuleIndex",
     "ext_module_dims",
@@ -57,6 +64,7 @@ __all__ = [
 ]
 
 NODE_POLY_TERMS = {((1, 1), (0, 0)): Fraction(1)}
+DEFAULT_WINDOW = 3
 
 
 def _require_poly(f):
@@ -66,90 +74,6 @@ def _require_poly(f):
         raise ValueError("f must be a polynomial (no differential part)")
 
 
-class SelfExtEngine:
-    """Incremental echelon of span{g*f, f*g} in graded monomial coordinates.
-
-    Products are added degree by degree (width = largest product degree
-    included).  Pivots are trailing (largest column), and columns are
-    numbered degree-major, so the dimension of the span inside F_m is
-    the number of pivots below the size of the degree-m prefix, at
-    every widening stage, from one shared elimination.
-    """
-
-    def __init__(self, f):
-        _require_poly(f)
-        self.f = f
-        self.n = f.n
-        self.fdeg = f.degree()
-        self.index = GradedMonomialIndex(f.n)
-        self.echelon = SparseEchelon()
-        self.width = self.fdeg - 1
-
-    def widen_to(self, width):
-        while self.width < width:
-            self.width += 1
-            gdeg = self.width - self.fdeg
-            if gdeg < 0:
-                continue
-            for xexp, dexp in monomials_of_degree(self.n, gdeg):
-                g = WeylElement.monomial(self.n, xexp, dexp)
-                self.echelon.add(self.index.vector(g * self.f))
-                self.echelon.add(self.index.vector(self.f * g))
-
-    def level_dim(self, m):
-        prefix = self.index.prefix_size(m)
-        return prefix - self.echelon.pivots_below(prefix)
-
-    def level_dims(self, max_deg):
-        self.index.extend_to(max_deg)
-        return [self.level_dim(m) for m in range(max_deg + 1)]
-
-    def reduce_class(self, elem):
-        """Representative of elem modulo the span built so far.
-
-        Exact modulo Df + fD once the widening has genuinely converged;
-        in general it is canonical only for the current width.
-        """
-        if elem.is_zero:
-            return elem
-        self.widen_to(elem.degree())
-        vec = self.echelon.reduce_fractions(self.index.vector(elem))
-        terms = {self.index.monomial(i): c for i, c in vec.items()}
-        return WeylElement(self.n, terms)
-
-
-def ext1_self_dims(f, max_deg, stab_window=3):
-    """Per-level dimensions of D/(Df + fD) through Bernstein level max_deg.
-
-    The level-m entry is the dimension of F_m modulo its intersection
-    with span{g*f, f*g : deg g <= N}, with N widening until the whole
-    vector is constant over stab_window consecutive increments.  Zero
-    levels carry an exact certificate (the computed value is an upper
-    bound for the true dimension); nonzero levels are stabilized upper
-    bounds.
-    """
-    if max_deg < 0:
-        raise ValueError("max_deg must be >= 0")
-    if stab_window < 1:
-        raise ValueError("stab_window must be >= 1")
-    engine = SelfExtEngine(f)
-    engine.widen_to(max_deg + engine.fdeg)
-    dims = engine.level_dims(max_deg)
-    stable = 0
-    while any(dims) and stable < stab_window:
-        engine.widen_to(engine.width + 1)
-        new_dims = engine.level_dims(max_deg)
-        stable = stable + 1 if new_dims == dims else 0
-        dims = new_dims
-    levels = [
-        TruncationLevel(m, d, EXACT_ZERO if d == 0 else STABILIZED)
-        for m, d in enumerate(dims)
-    ]
-    table = TruncationTable(str(f), "ext1-self", levels, window=stab_window)
-    table.notes["generator_width"] = engine.width
-    return table
-
-
 class ModuleIndex:
     """Stable degree-major numbering of a module's basis labels."""
 
@@ -157,30 +81,31 @@ class ModuleIndex:
         self.module = module
         self._labels = []
         self._pos = {}
-        self._counts = []  # labels per exact degree
-        self._max_degree = -1
+        self._by_degree = []  # labels of each exact degree
+        self._through = []  # label count through each degree
 
     def extend_to(self, degree):
-        if degree <= self._max_degree:
+        top = len(self._by_degree) - 1
+        if degree <= top:
             return
-        labels = list(self.module.basis(degree))
+        labels = self.module.basis(degree)
         if labels[: len(self._labels)] != self._labels:
             raise ValueError("module basis enumeration is not prefix-stable")
+        self._by_degree.extend([] for _ in range(degree - top))
         for lab in labels[len(self._labels):]:
             self._pos[lab] = len(self._labels)
             self._labels.append(lab)
-        self._counts = [0] * (degree + 1)
-        for lab in self._labels:
-            self._counts[self.module.degree(lab)] += 1
-        self._max_degree = degree
+            self._by_degree[self.module.degree(lab)].append(lab)
+        for d in range(top + 1, degree + 1):
+            self._through.append((self._through[-1] if d else 0) + len(self._by_degree[d]))
 
     def prefix_size(self, m):
         self.extend_to(m)
-        return sum(self._counts[: m + 1])
+        return self._through[m]
 
     def labels_of_degree(self, d):
         self.extend_to(d)
-        return [lab for lab in self._labels if self.module.degree(lab) == d]
+        return list(self._by_degree[d])
 
     def position(self, label):
         if label not in self._pos:
@@ -194,77 +119,138 @@ class ModuleIndex:
         return {self._labels[i]: c for i, c in vec.items()}
 
 
-def ext_module_dims(module, f, max_deg, stab_window=3):
+class CokernelEngine:
+    """Incremental echelon of the rows row(v) = v*f of M/Mf.
+
+    Rows are added for whole label degrees (width = largest label degree
+    included).  Pivots are trailing (largest column), and columns are
+    numbered degree-major, so the dimension of the span inside F_m is
+    the number of pivots below the size of the degree-m prefix, at
+    every widening stage, from one shared elimination.
+    """
+
+    def __init__(self, module, row):
+        self.index = ModuleIndex(module)
+        self.echelon = SparseEchelon()
+        self.row = row
+        self.width = -1
+
+    def widen_to(self, width):
+        while self.width < width:
+            self.width += 1
+            for lab in self.index.labels_of_degree(self.width):
+                self.echelon.add(self.index.vector(self.row(lab)))
+
+    def level_dims(self, max_deg):
+        out = []
+        for m in range(max_deg + 1):
+            prefix = self.index.prefix_size(m)
+            out.append(prefix - self.echelon.pivots_below(prefix))
+        return out
+
+    def stabilize(self, max_deg, start, window):
+        """Level dims through max_deg, widening from start until they are
+        zero or constant over window consecutive widenings."""
+        self.widen_to(start)
+        dims = self.level_dims(max_deg)
+        stable = 0
+        while any(dims) and stable < window:
+            self.widen_to(self.width + 1)
+            new_dims = self.level_dims(max_deg)
+            stable = stable + 1 if new_dims == dims else 0
+            dims = new_dims
+        return dims
+
+    def reduce(self, comb):
+        """Representative of a combination modulo the span built so far."""
+        vec = self.echelon.reduce_fractions(self.index.vector(comb))
+        return self.index.combination(vec)
+
+
+def _module_engine(module, f):
+    return CokernelEngine(module, lambda lab: act_word(module, {lab: Fraction(1)}, f))
+
+
+def _self_engine(f):
+    """The engine of D/(Df + fD): rows NF(g*f) in D/fD, g standard."""
+    _require_poly(f)
+    one = Fraction(1)
+
+    def row(g):
+        return divide_left(f.terms, mul_terms({g: one}, f.terms, f.n), f.n)[1]
+
+    return CokernelEngine(DXQuotientModule(f), row)
+
+
+def _stabilized_levels(dims):
+    return [
+        TruncationLevel(m, d, EXACT_ZERO if d == 0 else STABILIZED)
+        for m, d in enumerate(dims)
+    ]
+
+
+def ext1_self_dims(f, max_deg, stab_window=DEFAULT_WINDOW):
+    """Per-level dimensions of D/(Df + fD) through Bernstein level max_deg.
+
+    This is Ext^1 of D_X against D/fD: the level-m entry is the number
+    of standard monomials of degree <= m modulo the span of NF(g*f) for
+    standard g of degree <= N, with N widening from max_deg until the
+    whole vector is constant over stab_window consecutive increments.
+    The span is the image of Df + fD, cut off at product degree
+    N + deg f, which the table reports as generator_width.  Zero levels
+    carry an exact certificate (the computed value is an upper bound
+    for the true dimension); nonzero levels are stabilized upper bounds.
+    """
+    if max_deg < 0:
+        raise ValueError("max_deg must be >= 0")
+    if stab_window < 1:
+        raise ValueError("stab_window must be >= 1")
+    engine = _self_engine(f)
+    dims = engine.stabilize(max_deg, max_deg, stab_window)
+    table = TruncationTable(str(f), "ext1-self", _stabilized_levels(dims), window=stab_window)
+    table.notes["generator_width"] = engine.width + f.degree()
+    return table
+
+
+def ext_module_dims(module, f, max_deg, stab_window=DEFAULT_WINDOW):
     """Levels of Ext^0 and Ext^1 of D_X against the module, as tables.
 
     Ext^0 levels are exact for every model: the kernel of .f inside the
     span of basis labels of degree <= m only involves rows v*f with
     deg v <= m.  Ext^1 levels are exact whenever the model supplies a
-    generator bound (mf_level_bound), and otherwise fall back to the
-    same widening-and-stabilization scheme as the self-Ext route.
+    generator bound (mf_level_bound), and otherwise come from the same
+    widening-and-stabilization loop as the self-Ext route, starting at
+    label degree max_deg + deg f.
     """
     _require_poly(f)
     if module.n != f.n:
         raise ValueError("variable count mismatch between module and f")
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
-    fdeg = f.degree()
-    idx = ModuleIndex(module)
-    idx.extend_to(max_deg + fdeg)
-    echelon = SparseEchelon()
-
-    def add_rows(vdeg):
-        for lab in idx.labels_of_degree(vdeg):
-            comb = act_word(module, {lab: Fraction(1)}, f)
-            echelon.add(idx.vector(comb))
-
-    rank_at = []
+    engine = _module_engine(module, f)
+    ext0_levels = []
     for m in range(max_deg + 1):
-        add_rows(m)
-        rank_at.append(echelon.rank)
-    vdeg_done = max_deg
-
-    ext0_levels = [
-        TruncationLevel(m, idx.prefix_size(m) - rank_at[m], EXACT_GRADED)
-        for m in range(max_deg + 1)
-    ]
+        engine.widen_to(m)
+        dim = engine.index.prefix_size(m) - engine.echelon.rank
+        ext0_levels.append(TruncationLevel(m, dim, EXACT_GRADED))
     ext0 = TruncationTable(str(f), "ext0-module", ext0_levels)
     ext0.notes["model"] = module.name
 
-    def level_snapshot():
-        out = []
-        for m in range(max_deg + 1):
-            prefix = idx.prefix_size(m)
-            out.append(prefix - echelon.pivots_below(prefix))
-        return out
-
     bound = module.mf_level_bound(f, max_deg)
     if bound is not None:
-        while vdeg_done < bound:
-            vdeg_done += 1
-            add_rows(vdeg_done)
-        dims1 = level_snapshot()
-        levels1 = [TruncationLevel(m, d, EXACT_GRADED) for m, d in enumerate(dims1)]
+        engine.widen_to(bound)
+        levels1 = [
+            TruncationLevel(m, d, EXACT_GRADED)
+            for m, d in enumerate(engine.level_dims(max_deg))
+        ]
         ext1 = TruncationTable(str(f), "ext1-module", levels1)
         ext1.notes["generator_degree_bound"] = max(bound, 0)
     else:
-        while vdeg_done < max_deg + fdeg:
-            vdeg_done += 1
-            add_rows(vdeg_done)
-        dims1 = level_snapshot()
-        stable = 0
-        while any(dims1) and stable < stab_window:
-            vdeg_done += 1
-            add_rows(vdeg_done)
-            new_dims = level_snapshot()
-            stable = stable + 1 if new_dims == dims1 else 0
-            dims1 = new_dims
-        levels1 = [
-            TruncationLevel(m, d, EXACT_ZERO if d == 0 else STABILIZED)
-            for m, d in enumerate(dims1)
-        ]
-        ext1 = TruncationTable(str(f), "ext1-module", levels1, window=stab_window)
-        ext1.notes["generator_width"] = vdeg_done
+        dims1 = engine.stabilize(max_deg, max_deg + f.degree(), stab_window)
+        ext1 = TruncationTable(
+            str(f), "ext1-module", _stabilized_levels(dims1), window=stab_window
+        )
+        ext1.notes["generator_width"] = engine.width
     ext1.notes["model"] = module.name
     return ext0, ext1
 
@@ -290,37 +276,21 @@ class EndElement:
         return True
 
 
-def _leading_term(elem):
-    """The (monomial, coefficient) of elem that is largest in graded
-    order on the exponent tuple xexp + dexp."""
-    return max(elem.terms.items(), key=lambda t: (sum(t[0][0]) + sum(t[0][1]), t[0][0] + t[0][1]))
-
-
 def solve_twist(f, alpha):
     """The unique beta with f*beta = alpha*f, as an EndElement.
 
-    f has no d terms, so in normal-ordered coordinates f*beta is the
-    commutative product of f and beta, and beta is the quotient of
-    alpha*f by f.  Division reduces on the leading monomial of f in
-    graded order.  {f} is a Groebner basis of its principal ideal, so a
-    leading term whose x part lm(f) does not divide proves that alpha*f
-    is not in fD, i.e. alpha's class is not an endomorphism.
+    beta is the quotient of the left division of alpha*f by f.  {f} is
+    a Groebner basis of its principal ideal, so a nonzero remainder
+    proves that alpha*f is not in fD, i.e. alpha's class is not an
+    endomorphism.
     """
     _require_poly(f)
     if alpha.n != f.n:
         raise ValueError("variable count mismatch")
-    (lead_x, _), lead_c = _leading_term(f)
-    rest = alpha * f
-    beta = WeylElement.zero(f.n)
-    while rest:
-        (xexp, dexp), c = _leading_term(rest)
-        qx = tuple(a - b for a, b in zip(xexp, lead_x))
-        if min(qx) < 0:
-            raise NoTwistSolution(f"{alpha} * {f} is not a left multiple of {f}")
-        q = WeylElement.monomial(f.n, qx, dexp, c / lead_c)
-        beta = beta + q
-        rest = rest - f * q
-    end = EndElement(alpha, beta)
+    beta, rest = divide_left(f.terms, (alpha * f).terms, f.n)
+    if rest:
+        raise NoTwistSolution(f"{alpha} * {f} is not a left multiple of {f}")
+    end = EndElement(alpha, WeylElement(f.n, beta))
     end.verify(f)
     return end
 
@@ -338,19 +308,25 @@ def end_membership(f, h):
 
 
 def _self_reducer(f, through_degree):
-    """Class reducer for D/(Df + fD) representatives.
+    """Class reducer for D/(Df + fD) representatives of degree <= through_degree.
 
     The node polynomial gets the confluent rewrite normal form (exact
-    canonical representatives); any other f gets echelon reduction at a
-    stabilized width, which is canonical for that width and exact
-    whenever the widening has converged.
+    canonical representatives).  Any other f gets its normal form in
+    D/fD reduced by the self engine, stabilized through through_degree;
+    that is exact whenever the widening has converged, in particular
+    when every level is a certified zero.
     """
     if dict(f.terms) == NODE_POLY_TERMS:
         system = node_system()
         return system.normal_form
-    engine = SelfExtEngine(f)
-    engine.widen_to(through_degree + engine.fdeg + 3)
-    return engine.reduce_class
+    engine = _self_engine(f)
+    engine.stabilize(through_degree, through_degree, DEFAULT_WINDOW)
+
+    def reduce(elem):
+        comb = engine.index.module.reduce_element(elem)
+        return WeylElement(f.n, engine.reduce(comb))
+
+    return reduce
 
 
 def action_ext0(f, end_el, e, module):
@@ -383,19 +359,21 @@ def action_ext1(f, end_el, m, module=None):
 
 
 def _reduce_module_class(module, f, comb):
-    """Canonical representative of a combination modulo M*f."""
+    """Canonical representative of a combination modulo M*f.
+
+    Rows run through the model's generator bound when it has one, and
+    otherwise through the stabilized width of the combination's degree.
+    """
     if not comb:
         return {}
     top = max(module.degree(lab) for lab in comb)
+    engine = _module_engine(module, f)
     bound = module.mf_level_bound(f, top)
-    vbound = bound if bound is not None else top + f.degree() + 3
-    idx = ModuleIndex(module)
-    idx.extend_to(max(top, vbound + f.degree()))
-    echelon = SparseEchelon()
-    for d in range(vbound + 1):
-        for lab in idx.labels_of_degree(d):
-            echelon.add(idx.vector(act_word(module, {lab: Fraction(1)}, f)))
-    return idx.combination(echelon.reduce_fractions(idx.vector(comb)))
+    if bound is None:
+        engine.stabilize(top, top + f.degree(), DEFAULT_WINDOW)
+    else:
+        engine.widen_to(bound)
+    return engine.reduce(comb)
 
 
 def action_ext1_on_ext1(f, e, d):

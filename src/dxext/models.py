@@ -30,10 +30,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .grading import GradedMonomialIndex, compositions, monomials_of_degree
-from .linalg import SparseEchelon
+from .grading import compositions, monomials_of_degree
 from .parser import parse
-from .weyl import Filtration, WeylElement
+from .weyl import divide_left, graded_key, mul_terms
 
 __all__ = [
     "FreeWeylModule",
@@ -144,6 +143,8 @@ class FreeWeylModule:
     """D as a right module over itself; labels are monomials."""
 
     def __init__(self, n):
+        if n < 1:
+            raise ValueError("need at least one variable")
         self.n = n
         self.name = f"free:{n}"
 
@@ -183,6 +184,8 @@ class DeltaModule:
     """C[d_1..d_n]: the right module supported at the origin."""
 
     def __init__(self, n):
+        if n < 1:
+            raise ValueError("need at least one variable")
         self.n = n
         self.name = f"delta:{n}"
 
@@ -316,11 +319,11 @@ class KummerICModule:
 class DXQuotientModule:
     """D/fD with canonical representatives.
 
-    fD meets each Bernstein level F_k exactly in f*F_(k - deg f), by
-    degree additivity, so an echelon of the products f*m (trailing
-    pivots in graded monomial order) identifies a stable complement:
-    the non-pivot monomials.  Those monomials label the basis, and the
-    action reduces products against the echelon.
+    The leading monomial of a product f*h is lm(f)*lm(h) in the graded
+    order on xexp + dexp, so {f} is a Groebner basis of fD.  The
+    standard monomials, those lm(f) does not divide, label the basis,
+    listed in graded order, and the normal form of an element is its
+    remainder under left division by f.
     """
 
     def __init__(self, f):
@@ -329,48 +332,32 @@ class DXQuotientModule:
         self.f = f
         self.n = f.n
         self.name = f"dx:{f}"
-        self._fdeg = f.degree()
-        self._index = GradedMonomialIndex(f.n)
-        self._echelon = SparseEchelon()
-        self._built_degree = -1
-
-    def _extend(self, degree):
-        while self._built_degree < degree:
-            self._built_degree += 1
-            gdeg = self._built_degree - self._fdeg
-            if gdeg < 0:
-                continue
-            for mono in monomials_of_degree(self.n, gdeg):
-                prod = self.f * WeylElement.monomial(self.n, mono[0], mono[1])
-                self._echelon.add(self._index.vector(prod))
+        lead_x, lead_d = max(f.terms, key=graded_key)
+        self._lead = lead_x + lead_d
+        self._standard = []  # standard monomials of each exact degree
 
     def basis(self, deg_bound):
-        self._extend(deg_bound)
-        self._index.extend_to(deg_bound)
-        out = []
-        pivots = self._echelon.rows.keys()
-        for i in range(self._index.prefix_size(deg_bound)):
-            if i not in pivots:
-                out.append(self._index.monomial(i))
-        return out
+        for d in range(len(self._standard), deg_bound + 1):
+            self._standard.append([
+                mono for mono in monomials_of_degree(self.n, d)
+                if any(a < b for a, b in zip(mono[0] + mono[1], self._lead))
+            ])
+        return [mono for labels in self._standard[: deg_bound + 1] for mono in labels]
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])
 
     def reduce_element(self, elem):
         """Canonical representative of elem modulo fD as a combination."""
-        deg = elem.degree()
-        if deg is None:
-            return {}
-        self._extend(deg)
-        vec = self._echelon.reduce_fractions(self._index.vector(elem))
-        return {self._index.monomial(i): c for i, c in vec.items()}
+        return divide_left(self.f.terms, elem.terms, self.n)[1]
 
     def act(self, label, gen):
         kind, i = gen
-        mono = WeylElement.monomial(self.n, label[0], label[1])
-        factor = WeylElement.x(i, self.n) if kind == "x" else WeylElement.d(i, self.n)
-        return self.reduce_element(mono * factor)
+        unit = tuple(int(j == i) for j in range(self.n))
+        zero = (0,) * self.n
+        factor = (unit, zero) if kind == "x" else (zero, unit)
+        product = mul_terms({label: Fraction(1)}, {factor: Fraction(1)}, self.n)
+        return divide_left(self.f.terms, product, self.n)[1]
 
     def mf_level_bound(self, f, level):
         return None  # no a-priori bound for sums v*f + f*h in the quotient

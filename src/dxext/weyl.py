@@ -26,6 +26,9 @@ __all__ = [
     "SymbolPoly",
     "variable_names",
     "dual_names",
+    "mul_terms",
+    "graded_key",
+    "divide_left",
 ]
 
 
@@ -82,6 +85,65 @@ def _mono_mul(a, b, n):
         ds = tuple(ad[i] + bd[i] - k[i] for i in range(n))
         out[(xs, ds)] = out.get((xs, ds), 0) + coeff
     return out
+
+
+def mul_terms(a, b, n):
+    """Normal-ordered product of two term dicts, as a term dict."""
+    acc = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            c = ca * cb
+            for mono, k in _mono_mul(ma, mb, n).items():
+                nc = acc.get(mono, 0) + c * k
+                if nc:
+                    acc[mono] = nc
+                else:
+                    acc.pop(mono, None)
+    return acc
+
+
+def graded_key(mono):
+    """Sort key of the graded order: Bernstein degree, then the
+    exponent tuple xexp + dexp lexicographically."""
+    xexp, dexp = mono
+    return (sum(xexp) + sum(dexp), xexp + dexp)
+
+
+def divide_left(f, terms, n):
+    """Left division by f: (q, r) with terms = f*q + r, as term dicts.
+
+    Each step cancels the leading term (in graded order) of the rest
+    when lm(f) divides it, in both its x and its d part, and moves it to
+    r otherwise.  The leading monomial of f*q is lm(f)*lm(q), because
+    the Bernstein symbol is multiplicative, so {f} is a Groebner basis
+    of the right ideal fD: r has no monomial divisible by lm(f), and it
+    is zero exactly when terms lies in fD.
+    """
+    (lead_x, lead_d), lead_c = max(f.items(), key=lambda t: graded_key(t[0]))
+    rest = dict(terms)
+    q, r = {}, {}
+    while rest:
+        mono = max(rest, key=graded_key)
+        c = rest.pop(mono)
+        xexp, dexp = mono
+        qx = tuple(a - b for a, b in zip(xexp, lead_x))
+        qd = tuple(a - b for a, b in zip(dexp, lead_d))
+        if min(qx) < 0 or min(qd) < 0:
+            r[mono] = c
+            continue
+        qc = c / lead_c
+        q[(qx, qd)] = qc
+        for fm, fc in f.items():
+            scale = qc * fc
+            for pm, k in _mono_mul(fm, (qx, qd), n).items():
+                if pm == mono:
+                    continue  # the leading term, cancelled by construction
+                nc = rest.get(pm, 0) - scale * k
+                if nc:
+                    rest[pm] = nc
+                else:
+                    rest.pop(pm, None)
+    return q, r
 
 
 class WeylElement:
@@ -176,17 +238,7 @@ class WeylElement:
             c = Fraction(other)
             return WeylElement(self.n, {m: c * v for m, v in self.terms.items()})
         self._check(other)
-        acc = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                c = ca * cb
-                for mono, k in _mono_mul(ma, mb, self.n).items():
-                    nc = acc.get(mono, Fraction(0)) + c * k
-                    if nc:
-                        acc[mono] = nc
-                    else:
-                        acc.pop(mono, None)
-        return WeylElement(self.n, acc)
+        return WeylElement(self.n, mul_terms(self.terms, other.terms, self.n))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

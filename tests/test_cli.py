@@ -208,6 +208,30 @@ def test_curve_predict_missing_file_is_usage_error(tmp_path, capsys):
     assert len(usage) == 1 and str(missing) in usage[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("ext-module", "--f", "x", "--model", "delta:0", "--max-deg", "2"),
+    ("ext-module", "--f", "x", "--model", "free:0", "--max-deg", "2"),
+    ("quotient-isotypic", "--group", "cyclic:3:1,2", "--character", "chi:0,0,0", "--max-deg", "2"),
+], ids=["delta-0", "free-0", "character-length"])
+def test_bad_model_or_character_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("usage error")]) == 1
+
+
+def test_act_self_cusp_class_is_certified_zero(capsys):
+    # dx * (alpha + 6) has degree 3, and level 3 of the cusp is an
+    # exact-zero level, so the class is 0.
+    code, out, _ = run(
+        capsys, "act", "--f", "y^2 - x^3", "--element", "dx",
+        "--alpha", "2*x*dx + 3*y*dy",
+    )
+    assert code == 0
+    assert out.splitlines()[-1].endswith("= [0]")
+
+
 def test_curve_crosscheck(capsys):
     code, out, _ = run(
         capsys, "curve-crosscheck", "--n", "2", "--model", "delta",

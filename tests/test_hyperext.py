@@ -9,7 +9,7 @@ from dxext.hyperext import (
     EndElement,
     ModuleIndex,
     NoTwistSolution,
-    SelfExtEngine,
+    _self_engine,
     action_ext0,
     action_ext1,
     action_ext1_on_ext1,
@@ -59,10 +59,10 @@ def test_smooth_after_coordinate_change_vanishes():
 
 
 def test_engine_widening_is_monotone():
-    engine = SelfExtEngine(P("x*y"))
-    engine.widen_to(4)
+    engine = _self_engine(P("x*y"))
+    engine.widen_to(2)
     previous = engine.level_dims(3)
-    for width in range(5, 9):
+    for width in range(3, 7):
         engine.widen_to(width)
         current = engine.level_dims(3)
         assert all(c <= p for c, p in zip(current, previous))
@@ -71,7 +71,7 @@ def test_engine_widening_is_monotone():
 
 def test_engine_rejects_nonpolynomial():
     with pytest.raises(ValueError):
-        SelfExtEngine(P("x + dx"))
+        _self_engine(P("x + dx"))
     with pytest.raises(ValueError):
         ext1_self_dims(P("dx"), 3)
     with pytest.raises(ValueError):
@@ -79,17 +79,29 @@ def test_engine_rejects_nonpolynomial():
 
 
 def test_reduce_class_is_canonical():
-    engine = SelfExtEngine(P("x*y"))
-    engine.widen_to(8)
+    engine = _self_engine(P("x*y"))
+    engine.widen_to(6)
+    quotient = engine.index.module
     e = P("x dx^2")
-    red = engine.reduce_class(e)
-    # Same class: difference lies in the span.
-    diff = e - red
+    red = engine.reduce(quotient.reduce_element(e))
+    # Same class: e - red is g*f + f*h with g*f in the span.
+    diff = quotient.reduce_element(e - WeylElement(2, red))
     assert engine.echelon.contains(engine.index.vector(diff))
     # Canonical: reducing twice changes nothing.
-    assert engine.reduce_class(red) == red
+    assert engine.reduce(red) == red
     # Members of the ideal reduce to zero.
-    assert engine.reduce_class(P("x y dx dy")).is_zero
+    assert not engine.reduce(quotient.reduce_element(P("x y dx dy")))
+
+
+@pytest.mark.parametrize("text,max_deg,width", [
+    ("x*y", 5, 10),
+    ("x + y^2", 8, 15),
+    ("y^2 - x^3", 3, 26),
+])
+def test_generator_width_pinned(text, max_deg, width):
+    # Label degree plus deg f, from the start at label degree max_deg.
+    table = ext1_self_dims(P(text), max_deg)
+    assert table.notes["generator_width"] == width
 
 
 def test_twist_euler_families():

@@ -152,6 +152,42 @@ def test_dx_quotient_right_action_kills_ideal():
     assert act_word(module, {one: Fraction(1)}, f) == {}
 
 
+DXQ_ORACLE_CASES = ["x*y", "y^2 - x^3", "3*x^2*y - y^2", "x + dx", "x*dy + y^2", "dx*dy - 2"]
+
+
+@pytest.mark.parametrize("text", DXQ_ORACLE_CASES)
+def test_dx_quotient_matches_echelon_oracle(text):
+    # fD meets F_5 in f*F_(5 - deg f), so an echelon of those products
+    # with trailing pivots in graded monomial order has the standard
+    # monomials as its non-pivot columns, and its fully reduced residue
+    # is the division remainder.
+    from dxext.grading import monomials_of_degree
+    from dxext.linalg import SparseEchelon
+
+    f = parse(text, 2)
+    module = DXQuotientModule(f)
+    top = 5
+    monos = [m for d in range(top + 1) for m in monomials_of_degree(2, d)]
+    column = {m: i for i, m in enumerate(monos)}
+    ech = SparseEchelon()
+    for m in monos:
+        if module.degree(m) + f.degree() <= top:
+            prod = f * WeylElement.monomial(2, *m)
+            ech.add({column[k]: v for k, v in prod.terms.items()})
+    assert module.basis(top) == [m for i, m in enumerate(monos) if i not in ech.rows]
+    samples = [parse(t, 2) for t in ("x^2*y*dx^2", "x*y*dx*dy + y^3 - dx", "x^5 + dy^5 - 7")]
+    samples += [WeylElement.monomial(2, *m, i + 1) for i, m in enumerate(monos[::7])]
+    for elem in samples:
+        vec = ech.reduce_fractions({column[k]: v for k, v in elem.terms.items()})
+        assert module.reduce_element(elem) == {monos[i]: v for i, v in vec.items()}, str(elem)
+    gens = [WeylElement.x(0, 2), WeylElement.x(1, 2), WeylElement.d(0, 2), WeylElement.d(1, 2)]
+    for label in module.basis(top - 1):
+        for gen, elem in zip([("x", 0), ("x", 1), ("d", 0), ("d", 1)], gens):
+            prod = WeylElement.monomial(2, *label) * elem
+            vec = ech.reduce_fractions({column[k]: v for k, v in prod.terms.items()})
+            assert module.act(label, gen) == {monos[i]: v for i, v in vec.items()}
+
+
 def test_act_combination_linear():
     module = DeltaModule(2)
     comb = {(1, 0): Fraction(2), (0, 1): Fraction(-1)}
