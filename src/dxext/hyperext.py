@@ -26,6 +26,13 @@ A table's generator_width is the largest degree of a row product g*f
 in the span: the label degree for the module route, and the label
 degree plus deg f for the self route.
 
+Rows on D/fD come from DXQuotientModule.row, fraction-free division on
+integers: each row is an integer vector that is a nonzero multiple of
+NF(g*f), not NF itself.  The echelon stores every row as its primitive
+integer form with a positive pivot, which is the same for any nonzero
+multiple, so ranks, pivots, stored rows and every reduced
+representative are those of the NF rows.
+
 For one-sided questions exactness is free: v*f is nonzero of degree
 deg v + deg f whenever v is nonzero (degree additivity in a domain),
 so kernels of .f per level are exact for every module, and modules
@@ -47,7 +54,7 @@ from .linalg import SparseEchelon
 from .models import DXQuotientModule, act_word
 from .rewrite import node_system
 from .tables import EXACT_GRADED, EXACT_ZERO, STABILIZED, TruncationLevel, TruncationTable
-from .weyl import Filtration, WeylElement, divide_left, mul_terms
+from .weyl import Filtration, WeylElement, divide_left
 
 __all__ = [
     "CokernelEngine",
@@ -168,18 +175,17 @@ class CokernelEngine:
 
 
 def _module_engine(module, f):
-    return CokernelEngine(module, lambda lab: act_word(module, {lab: Fraction(1)}, f))
+    """Rows v*f from the model's row kernel when it has one, else act_word."""
+    row = getattr(module, "row", None)
+    if row is None:
+        return CokernelEngine(module, lambda lab: act_word(module, {lab: Fraction(1)}, f))
+    return CokernelEngine(module, lambda lab: row(lab, f))
 
 
 def _self_engine(f):
     """The engine of D/(Df + fD): rows NF(g*f) in D/fD, g standard."""
     _require_poly(f)
-    one = Fraction(1)
-
-    def row(g):
-        return divide_left(f.terms, mul_terms({g: one}, f.terms, f.n), f.n)[1]
-
-    return CokernelEngine(DXQuotientModule(f), row)
+    return _module_engine(DXQuotientModule(f), f)
 
 
 def _stabilized_levels(dims):

@@ -17,30 +17,21 @@ import math
 from bisect import bisect_left, insort
 from fractions import Fraction
 
-__all__ = ["SparseEchelon"]
+__all__ = ["SparseEchelon", "primitive"]
 
 
-def _to_primitive(vec):
-    """Scale a Fraction/int vector to a primitive integer vector."""
-    if not vec:
-        return {}
-    den = 1
-    for v in vec.values():
-        if isinstance(v, Fraction):
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = {}
-    for c, v in vec.items():
-        iv = int(v * den) if isinstance(v, Fraction) else v * den
-        if iv:
-            ints[c] = iv
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+def primitive(vec):
+    """(scale, ints) with vec == scale * ints on its nonzero entries.
+
+    ints is the primitive integer form: denominators cleared and the
+    content divided out, signs kept.  Values are ints or Fractions.
+    """
+    den = math.lcm(*(v.denominator for v in vec.values()))
+    ints = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
+    g = math.gcd(*ints.values())
+    if g <= 1:
+        return Fraction(1, den), ints
+    return Fraction(g, den), {c: v // g for c, v in ints.items()}
 
 
 class SparseEchelon:
@@ -62,7 +53,7 @@ class SparseEchelon:
 
     def residual(self, vec):
         """Primitive integer residual of vec against the current rows."""
-        work = _to_primitive(vec)
+        work = primitive(vec)[1]
         while work:
             p = max(work)
             row = self.rows.get(p)

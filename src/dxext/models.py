@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .grading import compositions, monomials_of_degree
+from .linalg import primitive
 from .parser import parse
-from .weyl import divide_left, graded_key, mul_terms
+from .weyl import divide_left, graded_key, mul_terms, pseudo_divide_left
 
 __all__ = [
     "FreeWeylModule",
@@ -240,6 +241,8 @@ class LineICModule:
     """C[x] tensor C[dy] with basis (i, j) = x^i dy^j, degree i + j."""
 
     def __init__(self, lines=2):
+        if lines < 1:
+            raise ValueError("need at least one line")
         self.n = 2
         self.lines = lines
         self.name = f"nlines-ic:{lines}"
@@ -281,6 +284,8 @@ class KummerICModule:
         lam = Fraction(lam)
         if lam.denominator == 1:
             raise ValueError("lam must be a non-integer rational")
+        if lines < 1:
+            raise ValueError("need at least one line")
         self.lam = lam
         self.n = 2
         self.lines = lines
@@ -324,6 +329,11 @@ class DXQuotientModule:
     standard monomials, those lm(f) does not divide, label the basis,
     listed in graded order, and the normal form of an element is its
     remainder under left division by f.
+
+    row(label, elem) is the fraction-free remainder of label*elem: an
+    integer term dict that is a nonzero multiple of NF(label*elem), or
+    empty when that is zero.  An echelon stores the primitive form of
+    each row with a positive pivot, so it cannot tell a row from NF.
     """
 
     def __init__(self, f):
@@ -332,6 +342,7 @@ class DXQuotientModule:
         self.f = f
         self.n = f.n
         self.name = f"dx:{f}"
+        self._f_ints = primitive(f.terms)[1]
         lead_x, lead_d = max(f.terms, key=graded_key)
         self._lead = lead_x + lead_d
         self._standard = []  # standard monomials of each exact degree
@@ -350,6 +361,12 @@ class DXQuotientModule:
     def reduce_element(self, elem):
         """Canonical representative of elem modulo fD as a combination."""
         return divide_left(self.f.terms, elem.terms, self.n)[1]
+
+    def row(self, label, elem):
+        """Integer terms: a multiple of NF(label*elem), nonzero iff that is."""
+        ints = self._f_ints if elem is self.f else primitive(elem.terms)[1]
+        product = mul_terms({label: 1}, ints, self.n)
+        return pseudo_divide_left(self._f_ints, product, self.n)[2]
 
     def act(self, label, gen):
         kind, i = gen

@@ -19,6 +19,10 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
+
+from .linalg import primitive
 
 __all__ = [
     "Filtration",
@@ -28,6 +32,7 @@ __all__ = [
     "dual_names",
     "mul_terms",
     "graded_key",
+    "pseudo_divide_left",
     "divide_left",
 ]
 
@@ -71,19 +76,21 @@ def _mono_mul(a, b, n):
     """Normal-ordered product of two monomials as a dict of terms.
 
     a = x^ax d^ad and b = x^bx d^bd; commuting d^ad past x^bx produces one
-    term per vector k with 0 <= k_i <= min(ad_i, bx_i).
+    term per vector k with 0 <= k_i <= min(ad_i, bx_i).  When no d_i of
+    a meets an x_i of b, that is the single shifted monomial.
     """
     (ax, ad), (bx, bd) = a, b
-    ranges = [range(min(ad[i], bx[i]) + 1) for i in range(n)]
+    xs, ds = tuple(map(add, ax, bx)), tuple(map(add, ad, bd))
+    if not any(map(min, ad, bx)):
+        return {(xs, ds): 1}
+    factors = [
+        [(k, math.comb(di, k) * math.perm(xi, k)) for k in range(min(di, xi) + 1)]
+        for di, xi in zip(ad, bx)
+    ]
     out = {}
-    for k in itertools.product(*ranges):
-        coeff = 1
-        for i in range(n):
-            if k[i]:
-                coeff *= math.comb(ad[i], k[i]) * math.perm(bx[i], k[i])
-        xs = tuple(ax[i] + bx[i] - k[i] for i in range(n))
-        ds = tuple(ad[i] + bd[i] - k[i] for i in range(n))
-        out[(xs, ds)] = out.get((xs, ds), 0) + coeff
+    for combo in itertools.product(*factors):
+        ks, cs = zip(*combo)
+        out[(tuple(map(sub, xs, ks)), tuple(map(sub, ds, ks)))] = math.prod(cs)
     return out
 
 
@@ -109,6 +116,65 @@ def graded_key(mono):
     return (sum(xexp) + sum(dexp), xexp + dexp)
 
 
+def _heap_entry(mono):
+    """Min-heap entry that pops monomials in decreasing graded order."""
+    xexp, dexp = mono
+    return -sum(xexp) - sum(dexp), tuple(map(neg, xexp + dexp)), mono
+
+
+def pseudo_divide_left(f, terms, n):
+    """Fraction-free left division by f on integer term dicts.
+
+    Returns (s, q, r) with s*terms = f*q + r, s a positive integer and
+    no monomial of r divisible by lm(f).  This is pseudo-division
+    (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R) term by term: when lc(f)
+    does not divide the coefficient c of the leading term of the rest,
+    everything is scaled by lc/gcd(c, lc) first, so with a unit leading
+    coefficient s stays 1.  Leading terms come off a heap, so each
+    monomial's graded key is computed once.
+    """
+    lead, lc = max(f.items(), key=lambda t: graded_key(t[0]))
+    lead_x, lead_d = lead
+    # lm(f)*x^a d^b is the cancelled leading term alone unless lm(f) has
+    # a d part to commute past x^a
+    subtract = list(f.items()) if any(lead_d) else [t for t in f.items() if t[0] != lead]
+    rest = dict(terms)
+    heap = [_heap_entry(mono) for mono in rest]
+    heapify(heap)
+    s, q, r = 1, {}, {}
+    while heap:
+        mono = heappop(heap)[2]
+        c = rest.pop(mono, 0)
+        if not c:
+            continue  # cancelled after it was queued
+        xexp, dexp = mono
+        qx, qd = tuple(map(sub, xexp, lead_x)), tuple(map(sub, dexp, lead_d))
+        if min(qx) < 0 or min(qd) < 0:
+            r[mono] = c
+            continue
+        if c % lc:
+            m = abs(lc) // math.gcd(c, lc)
+            s, c = s * m, c * m
+            rest = {k: v * m for k, v in rest.items()}
+            q = {k: v * m for k, v in q.items()}
+            r = {k: v * m for k, v in r.items()}
+        qc = c // lc
+        q[(qx, qd)] = qc
+        for fm, fc in subtract:
+            scale = qc * fc
+            for pm, k in _mono_mul(fm, (qx, qd), n).items():
+                if pm == mono:
+                    continue  # the leading term, cancelled by construction
+                nc = rest.get(pm, 0) - scale * k
+                if nc:
+                    if pm not in rest:
+                        heappush(heap, _heap_entry(pm))
+                    rest[pm] = nc
+                else:
+                    rest.pop(pm, None)
+    return s, q, r
+
+
 def divide_left(f, terms, n):
     """Left division by f: (q, r) with terms = f*q + r, as term dicts.
 
@@ -117,33 +183,15 @@ def divide_left(f, terms, n):
     r otherwise.  The leading monomial of f*q is lm(f)*lm(q), because
     the Bernstein symbol is multiplicative, so {f} is a Groebner basis
     of the right ideal fD: r has no monomial divisible by lm(f), and it
-    is zero exactly when terms lies in fD.
+    is zero exactly when terms lies in fD.  Such q and r are unique, so
+    the division runs fraction-free on primitive integer forms of f and
+    terms, and q and r are rescaled once at the end.
     """
-    (lead_x, lead_d), lead_c = max(f.items(), key=lambda t: graded_key(t[0]))
-    rest = dict(terms)
-    q, r = {}, {}
-    while rest:
-        mono = max(rest, key=graded_key)
-        c = rest.pop(mono)
-        xexp, dexp = mono
-        qx = tuple(a - b for a, b in zip(xexp, lead_x))
-        qd = tuple(a - b for a, b in zip(dexp, lead_d))
-        if min(qx) < 0 or min(qd) < 0:
-            r[mono] = c
-            continue
-        qc = c / lead_c
-        q[(qx, qd)] = qc
-        for fm, fc in f.items():
-            scale = qc * fc
-            for pm, k in _mono_mul(fm, (qx, qd), n).items():
-                if pm == mono:
-                    continue  # the leading term, cancelled by construction
-                nc = rest.get(pm, 0) - scale * k
-                if nc:
-                    rest[pm] = nc
-                else:
-                    rest.pop(pm, None)
-    return q, r
+    a, fi = primitive(f)
+    b, ti = primitive(terms)
+    s, q, r = pseudo_divide_left(fi, ti, n)
+    qs, rs = b / (a * s), b / s
+    return {m: c * qs for m, c in q.items()}, {m: c * rs for m, c in r.items()}
 
 
 class WeylElement:

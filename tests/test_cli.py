@@ -212,7 +212,10 @@ def test_curve_predict_missing_file_is_usage_error(tmp_path, capsys):
     ("ext-module", "--f", "x", "--model", "delta:0", "--max-deg", "2"),
     ("ext-module", "--f", "x", "--model", "free:0", "--max-deg", "2"),
     ("quotient-isotypic", "--group", "cyclic:3:1,2", "--character", "chi:0,0,0", "--max-deg", "2"),
-], ids=["delta-0", "free-0", "character-length"])
+    ("ext-module", "--f", "x*y", "--model", "nlines-ic:-1", "--max-deg", "2"),
+    ("ext-module", "--f", "x*y", "--model", "nlines-ic:0", "--max-deg", "2"),
+    ("ext-module", "--f", "x*y", "--model", "kummer:0:1/2", "--max-deg", "2"),
+], ids=["delta-0", "free-0", "character-length", "nlines-minus-1", "nlines-0", "kummer-0"])
 def test_bad_model_or_character_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -104,6 +104,23 @@ def test_generator_width_pinned(text, max_deg, width):
     assert table.notes["generator_width"] == width
 
 
+@pytest.mark.parametrize("level,width,rank,nnz,bits", [
+    (2, 18, 3111, 14735, 29),
+    (3, 23, 6401, 32972, 40),
+])
+def test_cusp_echelon_pinned(level, width, rank, nnz, bits):
+    # The echelon stores primitive rows with a positive pivot, so any
+    # row kernel that yields nonzero multiples of NF(g*f) leaves these
+    # counts unchanged; a kernel that changes the rows does not.
+    engine = _self_engine(P("y^2 - x^3"))
+    engine.stabilize(level, level, 3)
+    rows = engine.echelon.rows.values()
+    assert engine.width == width
+    assert engine.echelon.rank == rank
+    assert sum(len(row) for row in rows) == nnz
+    assert max(abs(v).bit_length() for row in rows for v in row.values()) == bits
+
+
 def test_twist_euler_families():
     f = P("x*y")
     for n in range(1, 5):

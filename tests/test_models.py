@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxext.models import (
     DXQuotientModule,
@@ -15,7 +17,7 @@ from dxext.models import (
     check_module_axioms,
 )
 from dxext.parser import parse
-from dxext.weyl import WeylElement
+from dxext.weyl import WeylElement, divide_left, graded_key
 
 
 def all_models():
@@ -186,6 +188,69 @@ def test_dx_quotient_matches_echelon_oracle(text):
             prod = WeylElement.monomial(2, *label) * elem
             vec = ech.reduce_fractions({column[k]: v for k, v in prod.terms.items()})
             assert module.act(label, gen) == {monos[i]: v for i, v in vec.items()}
+
+
+ROW_ORACLE_CASES = [
+    "y^2 - x^3", "x*y", "2*x^3 + y^2", "3*x^2*y - 5*y^2", "x*y*z", "x + dx", "3*x - 2*dx",
+]
+
+
+def _row_multiplier(row, nf):
+    """The t with row == t*nf, or None when row is no multiple of nf."""
+    if set(row) != set(nf):
+        return None
+    if not nf:
+        return Fraction(1)
+    mono = next(iter(nf))
+    t = Fraction(row[mono]) / nf[mono]
+    return t if all(row[m] == t * c for m, c in nf.items()) else None
+
+
+@pytest.mark.parametrize("text", ROW_ORACLE_CASES)
+def test_row_is_integer_multiple_of_normal_form(text):
+    # The fraction-free kernel against left division over Q: for each
+    # standard label g, row(g, f) = s*NF(g*f) with s a positive integer,
+    # so it is nonzero exactly when NF(g*f) is.  An equal f that is a
+    # different object takes the path that rebuilds its integer form.
+    f = parse(text)
+    module = DXQuotientModule(f)
+    copy = parse(text)
+    other = f + WeylElement.scalar(f.n, Fraction(1, 2))
+    for label in module.basis(4):
+        g = WeylElement.monomial(f.n, *label)
+        nf = module.reduce_element(g * f)
+        row = module.row(label, f)
+        assert all(isinstance(c, int) for c in row.values())
+        t = _row_multiplier(row, nf)
+        assert t is not None and t > 0 and t.denominator == 1, (label, row, nf)
+        assert module.row(label, copy) == row
+        t = _row_multiplier(module.row(label, other), module.reduce_element(g * other))
+        assert t is not None and t > 0, label
+
+
+def _weyl_elements(n, max_terms):
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+    return st.dictionaries(st.tuples(exps, exps), coeffs, min_size=1, max_size=max_terms)
+
+
+@st.composite
+def _division_problems(draw):
+    n = draw(st.integers(1, 2))
+    return n, draw(_weyl_elements(n, 3)), draw(_weyl_elements(n, 8))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_division_problems())
+def test_divide_left_identity(problem):
+    n, f, terms = problem
+    q, r = divide_left(f, terms, n)
+    F, Q, R = WeylElement(n, f), WeylElement(n, q), WeylElement(n, r)
+    assert F * Q + R == WeylElement(n, terms)
+    lead_x, lead_d = max(f, key=graded_key)
+    for xexp, dexp in r:
+        divisible = all(a >= b for a, b in zip(xexp + dexp, lead_x + lead_d))
+        assert not divisible, (xexp, dexp)
 
 
 def test_act_combination_linear():
