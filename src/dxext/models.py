@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 
-def _scaled(comb, c):
-    return {label: v * c for label, v in comb.items()}
-
-
 def _merge(acc, comb, c=1):
     for label, v in comb.items():
         nv = acc.get(label, Fraction(0)) + v * c

@@ -2,10 +2,12 @@
 
 A RewriteSystem holds rules that send a normal-ordered monomial to an
 equivalent lower element (graded lex order, x before y before dx before
-dy).  Every rule must be order-decreasing, which is validated on all
-monomials up to a probe degree at registration, so reduction always
-terminates; confluence_check then explores every reduction path to
-certify unique normal forms degree by degree.
+dy).  add_rule rejects a rule that fails to decrease some monomial up
+to a probe degree; confluence_check repeats that check through its
+own degree, so reduction terminates wherever it certifies.  It
+certifies unique normal forms by Bergman's fork check: visiting the
+monomials in increasing order, it compares the normal forms of the
+one-step reducts wherever two rules apply.
 
 The node preset encodes the two-sided quotient by x*y: the span of
 g*(x*y) and (x*y)*g over all g.  Its irreducible monomials are
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .grading import count_through_degree, monomials_of_degree
+from .grading import monomials_of_degree
 from .tables import EXACT_GRADED, STABILIZED, TruncationLevel, TruncationTable
 from .weyl import WeylElement, monomial_degree
 
@@ -63,16 +65,8 @@ class RewriteSystem:
         monomials up to the probe degree."""
         for d in range(self.probe_degree + 1):
             for mono in monomials_of_degree(self.n, d):
-                if not rule.applies(mono):
-                    continue
-                key = order_key(mono)
-                out = rule.rewrite(mono)
-                for omono in out.terms:
-                    if order_key(omono) >= key:
-                        raise ValueError(
-                            f"rule {rule.name!r} does not decrease {mono}: "
-                            f"produces {omono}"
-                        )
+                if rule.applies(mono):
+                    _decreasing_rewrite(rule, mono)
         self.rules.append(rule)
         self._nf_cache.clear()
 
@@ -105,19 +99,23 @@ class RewriteSystem:
         self._nf_cache[mono] = result
         return result
 
-    def normal_form(self, elem):
-        """Fully reduced form of an element; deterministic and idempotent."""
-        if elem.n != self.n:
-            raise ValueError("variable count mismatch")
+    def _terms_normal_form(self, terms):
+        """First-rule normal form of a term dict, as a term dict."""
         acc = {}
-        for mono, c in elem.terms.items():
+        for mono, c in terms.items():
             for rmono, rc in self._mono_normal_form(mono).items():
                 nc = acc.get(rmono, Fraction(0)) + c * rc
                 if nc:
                     acc[rmono] = nc
                 else:
                     acc.pop(rmono, None)
-        return WeylElement(self.n, acc)
+        return acc
+
+    def normal_form(self, elem):
+        """Fully reduced form of an element; deterministic and idempotent."""
+        if elem.n != self.n:
+            raise ValueError("variable count mismatch")
+        return WeylElement(self.n, self._terms_normal_form(elem.terms))
 
     def irreducible_projection(self, elem):
         """Drop every reducible monomial, keeping irreducible terms as is.
@@ -134,14 +132,23 @@ class RewriteSystem:
         return WeylElement(self.n, kept)
 
 
-def _element_key(terms):
-    return tuple(sorted(terms.items()))
+def _decreasing_rewrite(rule, mono):
+    """rule.rewrite(mono), after checking that every monomial it
+    produces is strictly smaller than mono in order_key."""
+    out = rule.rewrite(mono)
+    key = order_key(mono)
+    for omono in out.terms:
+        if order_key(omono) >= key:
+            raise ValueError(
+                f"rule {rule.name!r} does not decrease {mono}: produces {omono}"
+            )
+    return out
 
 
 @dataclass
 class ConfluenceReport:
     max_degree: int
-    violations: list = field(default_factory=list)  # (mono, normal form keys)
+    violations: list = field(default_factory=list)  # (mono, sorted normal forms)
 
     @property
     def confluent(self):
@@ -149,63 +156,53 @@ class ConfluenceReport:
 
 
 def confluence_check(system, max_deg):
-    """Explore every reduction path of every monomial of degree <= max_deg.
+    """Certify unique normal forms for every monomial of degree <= max_deg.
 
-    Records each monomial that reaches two or more distinct normal
-    forms.  Memoization is shared across monomials, so overlapping
-    reduction trees are walked once.
+    Bergman's fork check (The diamond lemma for ring theory, Adv. Math.
+    29, 1978, Lemma 1.1 and Thm 1.2).  Every reduction path of a
+    monomial starts with one of the rules that apply to it.  When every
+    smaller monomial is reduction-unique, so is every combination of
+    them, and each reduct's first-rule normal form is its only one.
+    The monomial is then reduction-unique exactly when the reducts of
+    all applicable rules share one first-rule normal form.  Visiting the
+    monomials in increasing order, the first monomial whose reducts
+    disagree is the smallest one with two normal forms.
+
+    Records (mono, sorted forms) for each monomial whose reducts
+    disagree.  Only such forks are listed: a monomial whose reducts
+    agree but reach a smaller fork is not.  Every rule output is checked
+    to decrease through max_deg, beyond the probe degree of add_rule;
+    a rule that does not raises ValueError.
     """
-    memo = {}
-
-    def all_normal_forms(terms):
-        # No cycle guard needed: every rule strictly decreases the multiset
-        # of monomial order keys, so recursion is well-founded.
-        key = _element_key(terms)
-        if key in memo:
-            return memo[key]
-        branches = []
-        for mono in terms:
-            for rule in system.rules:
-                if rule.applies(mono):
-                    branches.append((mono, rule))
-        if not branches:
-            result = frozenset([key])
-        else:
-            found = set()
-            for mono, rule in branches:
-                coeff = terms[mono]
-                new_terms = dict(terms)
-                del new_terms[mono]
-                for omono, oc in rule.rewrite(mono).terms.items():
-                    nc = new_terms.get(omono, Fraction(0)) + coeff * oc
-                    if nc:
-                        new_terms[omono] = nc
-                    else:
-                        new_terms.pop(omono, None)
-                found |= all_normal_forms(new_terms)
-            result = frozenset(found)
-        memo[key] = result
-        return result
-
     report = ConfluenceReport(max_deg)
     for d in range(max_deg + 1):
+        # monomials_of_degree ascends in order_key within a degree, so
+        # every monomial a reduct contains was checked before: the
+        # induction above depends on this order.
         for mono in monomials_of_degree(system.n, d):
-            forms = all_normal_forms({mono: Fraction(1)})
+            reducts = [
+                _decreasing_rewrite(rule, mono) for rule in system.rules if rule.applies(mono)
+            ]
+            if len(reducts) < 2:
+                continue
+            forms = {
+                tuple(sorted(system._terms_normal_form(r.terms).items())) for r in reducts
+            }
             if len(forms) > 1:
                 report.violations.append((mono, sorted(forms)))
     return report
 
 
-def irreducible_dims(system, max_deg, check_confluence=True):
+def irreducible_dims(system, max_deg):
     """Cumulative count of irreducible monomials per degree level.
 
-    With a confluent system these are exact quotient dimensions
-    (exact-graded); without confluence the counts are only upper bounds
-    for the quotient, since normal forms still span it.
+    The status follows from confluence_check through max_deg.  With a
+    confluent system these are exact quotient dimensions (exact-graded);
+    without confluence the counts are only upper bounds for the
+    quotient, since normal forms still span it.  A rule that fails to
+    decrease some monomial through max_deg raises ValueError.
     """
-    certified = False
-    if check_confluence:
-        certified = confluence_check(system, max_deg).confluent
+    certified = confluence_check(system, max_deg).confluent
     status = EXACT_GRADED if certified else STABILIZED
     levels = []
     running = 0

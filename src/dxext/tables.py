@@ -56,9 +56,6 @@ class TruncationTable:
     def level(self, m):
         return self.levels[m]
 
-    def all_zero(self):
-        return all(lv.dim == 0 for lv in self.levels)
-
     def to_json_dict(self):
         return {
             "f": self.f_text,

@@ -336,9 +336,6 @@ class WeylElement:
             parts.setdefault(monomial_degree(mono, kind), {})[mono] = c
         return {d: WeylElement(self.n, t) for d, t in sorted(parts.items())}
 
-    def is_homogeneous(self, kind=Filtration.BERNSTEIN):
-        return len(self.homogeneous_parts(kind)) <= 1
-
     def principal_symbol(self, kind=Filtration.BERNSTEIN):
         """Top filtration part as a commutative polynomial in x_i, s_i."""
         top = self.degree(kind)

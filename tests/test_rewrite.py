@@ -23,6 +23,8 @@ from dxext.rewrite import (
 from dxext.weyl import WeylElement
 
 NODE_CUMULATIVE = [1, 3, 7, 13, 21, 31, 43]
+X = ((1,), (0,))
+X2 = ((2,), (0,))
 
 
 @pytest.fixture(scope="module")
@@ -152,18 +154,107 @@ def test_add_rule_rejects_order_increase():
         system.add_rule(bad)
 
 
-def test_nonconfluent_system_flagged():
+def two_value_system():
     # x -> 1 and x -> 2 cannot agree on x.
     system = RewriteSystem(1, probe_degree=4)
     for name, value in (("one", 1), ("two", 2)):
         system.add_rule(RewriteRule(
             name=name,
-            applies=lambda mono: mono == ((1,), (0,)),
+            applies=lambda mono: mono == X,
             rewrite=lambda mono, v=value: WeylElement.scalar(1, v),
         ))
+    return system
+
+
+def shift_system():
+    # x^i dx^a with i >= 2 moves one x or two x's over to dx.  The
+    # first fork is x^2 -> x dx | dx^2; x^3 reaches both of its forms
+    # through x^2 dx, yet its own two reducts share one first-rule
+    # normal form, so the path walk lists it and the fork check does not.
+    system = RewriteSystem(1)
+    for name, k in (("shift-one", 1), ("shift-two", 2)):
+        system.add_rule(RewriteRule(
+            name=name,
+            applies=lambda mono: mono[0][0] >= 2,
+            rewrite=lambda mono, k=k: WeylElement.monomial(
+                1, (mono[0][0] - k,), (mono[1][0] + k,)
+            ),
+        ))
+    return system
+
+
+def test_nonconfluent_system_flagged():
+    system = two_value_system()
     report = confluence_check(system, 2)
     assert not report.confluent
-    assert any(mono == ((1,), (0,)) for mono, _ in report.violations)
+    assert any(mono == X for mono, _ in report.violations)
     table = irreducible_dims(system, 2)
     assert table.notes["certified"] is False
     assert all(lvl.status.startswith("stabilized") for lvl in table.levels)
+
+
+def walk_normal_forms(system, terms, memo):
+    """Every normal form that some reduction path of terms reaches."""
+    key = tuple(sorted(terms.items()))
+    if key not in memo:
+        forms = set()
+        for mono, coeff in terms.items():
+            rest = WeylElement(system.n, {m: c for m, c in terms.items() if m != mono})
+            for rule in system.rules:
+                if rule.applies(mono):
+                    reduced = rest + coeff * rule.rewrite(mono)
+                    forms |= walk_normal_forms(system, reduced.terms, memo)
+        memo[key] = frozenset(forms) or frozenset([key])
+    return memo[key]
+
+
+def walk_violations(system, max_deg):
+    """Monomials with two or more normal forms, in increasing order."""
+    memo = {}
+    return [
+        mono
+        for d in range(max_deg + 1)
+        for mono in monomials_of_degree(system.n, d)
+        if len(walk_normal_forms(system, {mono: Fraction(1)}, memo)) > 1
+    ]
+
+
+@pytest.mark.parametrize("make, first", [
+    (node_system, None),
+    (two_value_system, X),
+    (shift_system, X2),
+])
+def test_fork_check_matches_path_walk(make, first):
+    system = make()
+    walked = walk_violations(system, 5)
+    forks = [mono for mono, _ in confluence_check(system, 5).violations]
+    assert walked[:1] == forks[:1] == ([first] if first else [])
+    assert set(forks) <= set(walked)
+
+
+def test_fork_check_lists_only_forks():
+    forks = [mono for mono, _ in confluence_check(shift_system(), 3).violations]
+    assert ((3,), (0,)) in walk_violations(shift_system(), 3)
+    assert ((3,), (0,)) not in forks
+
+
+def test_node_certified_through_degree_ten(node):
+    assert confluence_check(node, 10).confluent
+    table = irreducible_dims(node, 10)
+    assert table.dims() == [m * m + m + 1 for m in range(11)]
+    assert all(lvl.status == "exact-graded" for lvl in table.levels)
+
+
+@pytest.mark.parametrize("max_deg", [3, 4])
+def test_rule_decrease_checked_past_probe_degree(max_deg):
+    # add_rule probes through degree 2 only, so it accepts x^3 -> x^4.
+    system = RewriteSystem(1, probe_degree=2)
+    system.add_rule(RewriteRule(
+        name="inflate-cube",
+        applies=lambda mono: mono == ((3,), (0,)),
+        rewrite=lambda mono: WeylElement.monomial(1, (4,), (0,)),
+    ))
+    with pytest.raises(ValueError, match="does not decrease"):
+        confluence_check(system, max_deg)
+    with pytest.raises(ValueError, match="does not decrease"):
+        irreducible_dims(system, max_deg)
