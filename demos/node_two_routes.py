@@ -49,7 +49,7 @@ print("normal form of", e, "is", system.normal_form(e))
 # Route one's representative: the remainder of left division by f in
 # D/fD, reduced against the rows NF(g*f) with deg g <= 6.
 quotient = DXQuotientModule(f)
-engine = CokernelEngine(quotient, lambda g: quotient.reduce_element(WeylElement.monomial(2, *g) * f))
+engine = CokernelEngine(quotient, f)
 engine.widen_to(6)
 print("canonical class of", e, "is", WeylElement(2, engine.reduce(quotient.reduce_element(e))))
 print("(both representatives differ from the input by ideal members)")

@@ -540,12 +540,13 @@ def _positive(value):
     return ivalue
 
 
-def _add_common(sub, table=True):
+def _add_common(sub, table=True, window=False):
     if table:
         sub.add_argument(
             "--max-deg", type=_nonnegative, default=6,
             help="largest filtration degree to report (default 6)",
         )
+    if window:
         sub.add_argument(
             "--stab-window", type=_positive, default=3,
             help="consecutive stable widenings before accepting a bound "
@@ -570,7 +571,7 @@ def build_parser():
 
     s = subs.add_parser("ext-self", help="Ext^1 table for D/(Df+fD)")
     s.add_argument("--f", required=True, help="polynomial, e.g. \"x*y\"")
-    _add_common(s)
+    _add_common(s, window=True)
     s.set_defaults(handler=cmd_ext_self)
 
     s = subs.add_parser("ext-module", help="Ext tables against a module")
@@ -580,7 +581,7 @@ def build_parser():
         help="dx:<poly> | delta:<n> | nlines-ic:<n> | kummer:<n>:<p/q> "
         "| free:<n>",
     )
-    _add_common(s)
+    _add_common(s, window=True)
     s.set_defaults(handler=cmd_ext_module)
 
     s = subs.add_parser("twist", help="solve alpha*f == f*beta for beta")
@@ -667,7 +668,7 @@ def build_parser():
         help="also run ext-self on this polynomial (exploratory; the "
         "gradings are not aligned)",
     )
-    _add_common(s)
+    _add_common(s, window=True)
     s.set_defaults(handler=cmd_quotient_rend)
 
     s = subs.add_parser(

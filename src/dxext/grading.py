@@ -9,12 +9,9 @@ questions.
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
     "compositions",
     "monomials_of_degree",
-    "count_through_degree",
 ]
 
 
@@ -33,10 +30,3 @@ def monomials_of_degree(n, d):
     """Weyl monomials of exact Bernstein degree d, lexicographic."""
     for exps in compositions(d, 2 * n):
         yield (exps[:n], exps[n:])
-
-
-def count_through_degree(n, d):
-    """Number of Weyl monomials of Bernstein degree <= d."""
-    if d < 0:
-        return 0
-    return math.comb(d + 2 * n, 2 * n)

@@ -129,17 +129,26 @@ class ModuleIndex:
 class CokernelEngine:
     """Incremental echelon of the rows row(v) = v*f of M/Mf.
 
-    Rows are added for whole label degrees (width = largest label degree
-    included).  Pivots are trailing (largest column), and columns are
-    numbered degree-major, so the dimension of the span inside F_m is
-    the number of pivots below the size of the degree-m prefix, at
-    every widening stage, from one shared elimination.
+    Rows come from the model's row kernel when it has one, else from
+    act_word.  They are added for whole label degrees (width = largest
+    label degree included).  Pivots are trailing (largest column), and
+    columns are numbered degree-major, so the dimension of the span
+    inside F_m is the number of pivots below the size of the degree-m
+    prefix, at every widening stage, from one shared elimination.
     """
 
-    def __init__(self, module, row):
+    def __init__(self, module, f):
+        _require_poly(f)
+        if module.n != f.n:
+            raise ValueError("variable count mismatch between module and f")
         self.index = ModuleIndex(module)
         self.echelon = SparseEchelon()
-        self.row = row
+        self.f = f
+        row = getattr(module, "row", None)
+        if row is None:
+            self.row = lambda lab: act_word(module, {lab: Fraction(1)}, f)
+        else:
+            self.row = lambda lab: row(lab, f)
         self.width = -1
 
     def widen_to(self, width):
@@ -155,9 +164,22 @@ class CokernelEngine:
             out.append(prefix - self.echelon.pivots_below(prefix))
         return out
 
-    def stabilize(self, max_deg, start, window):
-        """Level dims through max_deg, widening from start until they are
-        zero or constant over window consecutive widenings."""
+    def ext1_levels(self, max_deg, start, window):
+        """Ext^1 levels through max_deg, and the generator bound used.
+
+        When the model has a generator bound (mf_level_bound), rows run
+        through it and every level is exact-graded.  Otherwise the bound
+        is None and the width grows from start until the level dims are
+        zero or constant over window consecutive widenings; zero levels
+        are then exact, the others stabilized upper bounds.
+        """
+        if window < 1:
+            raise ValueError("stab_window must be >= 1")
+        bound = self.index.module.mf_level_bound(self.f, max_deg)
+        if bound is not None:
+            self.widen_to(bound)
+            dims = self.level_dims(max_deg)
+            return [TruncationLevel(m, d, EXACT_GRADED) for m, d in enumerate(dims)], bound
         self.widen_to(start)
         dims = self.level_dims(max_deg)
         stable = 0
@@ -166,33 +188,16 @@ class CokernelEngine:
             new_dims = self.level_dims(max_deg)
             stable = stable + 1 if new_dims == dims else 0
             dims = new_dims
-        return dims
+        levels = [
+            TruncationLevel(m, d, EXACT_ZERO if d == 0 else STABILIZED)
+            for m, d in enumerate(dims)
+        ]
+        return levels, None
 
     def reduce(self, comb):
         """Representative of a combination modulo the span built so far."""
         vec = self.echelon.reduce_fractions(self.index.vector(comb))
         return self.index.combination(vec)
-
-
-def _module_engine(module, f):
-    """Rows v*f from the model's row kernel when it has one, else act_word."""
-    row = getattr(module, "row", None)
-    if row is None:
-        return CokernelEngine(module, lambda lab: act_word(module, {lab: Fraction(1)}, f))
-    return CokernelEngine(module, lambda lab: row(lab, f))
-
-
-def _self_engine(f):
-    """The engine of D/(Df + fD): rows NF(g*f) in D/fD, g standard."""
-    _require_poly(f)
-    return _module_engine(DXQuotientModule(f), f)
-
-
-def _stabilized_levels(dims):
-    return [
-        TruncationLevel(m, d, EXACT_ZERO if d == 0 else STABILIZED)
-        for m, d in enumerate(dims)
-    ]
 
 
 def ext1_self_dims(f, max_deg, stab_window=DEFAULT_WINDOW):
@@ -209,11 +214,9 @@ def ext1_self_dims(f, max_deg, stab_window=DEFAULT_WINDOW):
     """
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
-    if stab_window < 1:
-        raise ValueError("stab_window must be >= 1")
-    engine = _self_engine(f)
-    dims = engine.stabilize(max_deg, max_deg, stab_window)
-    table = TruncationTable(str(f), "ext1-self", _stabilized_levels(dims), window=stab_window)
+    engine = CokernelEngine(DXQuotientModule(f), f)
+    levels, _ = engine.ext1_levels(max_deg, max_deg, stab_window)
+    table = TruncationTable(str(f), "ext1-self", levels, window=stab_window)
     table.notes["generator_width"] = engine.width + f.degree()
     return table
 
@@ -223,17 +226,13 @@ def ext_module_dims(module, f, max_deg, stab_window=DEFAULT_WINDOW):
 
     Ext^0 levels are exact for every model: the kernel of .f inside the
     span of basis labels of degree <= m only involves rows v*f with
-    deg v <= m.  Ext^1 levels are exact whenever the model supplies a
-    generator bound (mf_level_bound), and otherwise come from the same
-    widening-and-stabilization loop as the self-Ext route, starting at
-    label degree max_deg + deg f.
+    deg v <= m.  Ext^1 levels come from CokernelEngine.ext1_levels:
+    exact when the model supplies a generator bound, and otherwise
+    widened from label degree max_deg + deg f.
     """
-    _require_poly(f)
-    if module.n != f.n:
-        raise ValueError("variable count mismatch between module and f")
+    engine = CokernelEngine(module, f)
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
-    engine = _module_engine(module, f)
     ext0_levels = []
     for m in range(max_deg + 1):
         engine.widen_to(m)
@@ -242,21 +241,13 @@ def ext_module_dims(module, f, max_deg, stab_window=DEFAULT_WINDOW):
     ext0 = TruncationTable(str(f), "ext0-module", ext0_levels)
     ext0.notes["model"] = module.name
 
-    bound = module.mf_level_bound(f, max_deg)
-    if bound is not None:
-        engine.widen_to(bound)
-        levels1 = [
-            TruncationLevel(m, d, EXACT_GRADED)
-            for m, d in enumerate(engine.level_dims(max_deg))
-        ]
+    levels1, bound = engine.ext1_levels(max_deg, max_deg + f.degree(), stab_window)
+    if bound is None:
+        ext1 = TruncationTable(str(f), "ext1-module", levels1, window=stab_window)
+        ext1.notes["generator_width"] = engine.width
+    else:
         ext1 = TruncationTable(str(f), "ext1-module", levels1)
         ext1.notes["generator_degree_bound"] = max(bound, 0)
-    else:
-        dims1 = engine.stabilize(max_deg, max_deg + f.degree(), stab_window)
-        ext1 = TruncationTable(
-            str(f), "ext1-module", _stabilized_levels(dims1), window=stab_window
-        )
-        ext1.notes["generator_width"] = engine.width
     ext1.notes["model"] = module.name
     return ext0, ext1
 
@@ -313,26 +304,31 @@ def end_membership(f, h):
         return None
 
 
+def _class_reducer(module, f, top, start):
+    """Reducer of module combinations of degree <= top modulo M*f.
+
+    The engine widens as ext1_levels does for the levels through top,
+    from start; the representatives are canonical whenever that
+    widening has converged, in particular when every level is exact.
+    """
+    engine = CokernelEngine(module, f)
+    engine.ext1_levels(top, start, DEFAULT_WINDOW)
+    return engine.reduce
+
+
 def _self_reducer(f, through_degree):
     """Class reducer for D/(Df + fD) representatives of degree <= through_degree.
 
     The node polynomial gets the confluent rewrite normal form (exact
     canonical representatives).  Any other f gets its normal form in
-    D/fD reduced by the self engine, stabilized through through_degree;
-    that is exact whenever the widening has converged, in particular
-    when every level is a certified zero.
+    D/fD reduced by the class reducer of D/fD through through_degree.
     """
     if dict(f.terms) == NODE_POLY_TERMS:
         system = node_system()
         return system.normal_form
-    engine = _self_engine(f)
-    engine.stabilize(through_degree, through_degree, DEFAULT_WINDOW)
-
-    def reduce(elem):
-        comb = engine.index.module.reduce_element(elem)
-        return WeylElement(f.n, engine.reduce(comb))
-
-    return reduce
+    quotient = DXQuotientModule(f)
+    reduce = _class_reducer(quotient, f, through_degree, through_degree)
+    return lambda elem: WeylElement(f.n, reduce(quotient.reduce_element(elem)))
 
 
 def action_ext0(f, end_el, e, module):
@@ -365,21 +361,12 @@ def action_ext1(f, end_el, m, module=None):
 
 
 def _reduce_module_class(module, f, comb):
-    """Canonical representative of a combination modulo M*f.
-
-    Rows run through the model's generator bound when it has one, and
-    otherwise through the stabilized width of the combination's degree.
-    """
+    """Canonical representative of a combination modulo M*f, from the
+    class reducer through the combination's degree."""
     if not comb:
         return {}
     top = max(module.degree(lab) for lab in comb)
-    engine = _module_engine(module, f)
-    bound = module.mf_level_bound(f, top)
-    if bound is None:
-        engine.stabilize(top, top + f.degree(), DEFAULT_WINDOW)
-    else:
-        engine.widen_to(bound)
-    return engine.reduce(comb)
+    return _class_reducer(module, f, top, top + f.degree())(comb)
 
 
 def action_ext1_on_ext1(f, e, d):

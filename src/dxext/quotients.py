@@ -28,7 +28,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
 
 from .grading import compositions
 
@@ -170,9 +169,6 @@ class GradedDims:
 
     def to_json_dict(self):
         return {"meaning": self.meaning, "dims": list(self.dims)}
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_csv(self):
         lines = ["degree,dim"]

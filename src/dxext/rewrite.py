@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .grading import monomials_of_degree
 from .tables import EXACT_GRADED, STABILIZED, TruncationLevel, TruncationTable
-from .weyl import WeylElement, monomial_degree
+from .weyl import WeylElement, graded_key
 
 __all__ = [
     "RewriteRule",
@@ -34,17 +34,12 @@ __all__ = [
 ]
 
 
-def order_key(mono):
-    """Graded lexicographic key with variable priority x1 > .. > d_n."""
-    return (monomial_degree(mono), mono[0] + mono[1])
-
-
 @dataclass
 class RewriteRule:
     """One reduction: a monomial predicate plus its replacement element.
 
     Replacement coefficients may depend on the exponents of the matched
-    monomial; the replacement must be strictly smaller in order_key.
+    monomial; the replacement must be strictly smaller in graded_key.
     """
 
     name: str
@@ -134,11 +129,11 @@ class RewriteSystem:
 
 def _decreasing_rewrite(rule, mono):
     """rule.rewrite(mono), after checking that every monomial it
-    produces is strictly smaller than mono in order_key."""
+    produces is strictly smaller than mono in graded_key."""
     out = rule.rewrite(mono)
-    key = order_key(mono)
+    key = graded_key(mono)
     for omono in out.terms:
-        if order_key(omono) >= key:
+        if graded_key(omono) >= key:
             raise ValueError(
                 f"rule {rule.name!r} does not decrease {mono}: produces {omono}"
             )
@@ -176,7 +171,7 @@ def confluence_check(system, max_deg):
     """
     report = ConfluenceReport(max_deg)
     for d in range(max_deg + 1):
-        # monomials_of_degree ascends in order_key within a degree, so
+        # monomials_of_degree ascends in graded_key within a degree, so
         # every monomial a reduct contains was checked before: the
         # induction above depends on this order.
         for mono in monomials_of_degree(system.n, d):

@@ -12,7 +12,6 @@ trustworthy the number is:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -53,9 +52,6 @@ class TruncationTable:
     def dims(self):
         return [lv.dim for lv in self.levels]
 
-    def level(self, m):
-        return self.levels[m]
-
     def to_json_dict(self):
         return {
             "f": self.f_text,
@@ -65,9 +61,6 @@ class TruncationTable:
                 for lv in self.levels
             ],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_csv(self):
         lines = ["degree,dim,status"]

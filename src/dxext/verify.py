@@ -63,7 +63,10 @@ class CheckResult:
 
 
 def _check(label, limit=None):
-    """Decorator-free helper: run fn, time it, enforce a budget."""
+    """Decorator that runs fn at once, times it and enforces a budget.
+
+    The decorated name is bound to the resulting CheckResult, not to fn.
+    """
 
     def wrap(fn):
         start = time.perf_counter()

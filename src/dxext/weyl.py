@@ -349,9 +349,6 @@ class WeylElement:
     def coefficient(self, xexp, dexp):
         return self.terms.get((tuple(xexp), tuple(dexp)), Fraction(0))
 
-    def monomials(self):
-        return list(self.terms)
-
     # -- display ----------------------------------------------------------
 
     def __str__(self):
@@ -429,11 +426,7 @@ class SymbolPoly:
         xnames = variable_names(self.n)
         snames = symbol_names(self.n)
         chunks = []
-        order = sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0]),
-            reverse=True,
-        )
+        order = sorted(self.terms.items(), key=lambda kv: graded_key(kv[0]), reverse=True)
         for (xe, se), c in order:
             factors = _mono_factors(xe, xnames) + _mono_factors(se, snames)
             chunks.append(_render_term(c, factors))
@@ -486,11 +479,7 @@ def format_element(elem):
         return "0"
     xnames = variable_names(elem.n)
     dnames = dual_names(elem.n)
-    order = sorted(
-        elem.terms.items(),
-        key=lambda kv: (monomial_degree(kv[0]), kv[0]),
-        reverse=True,
-    )
+    order = sorted(elem.terms.items(), key=lambda kv: graded_key(kv[0]), reverse=True)
     chunks = []
     for (xe, de), c in order:
         factors = _mono_factors(xe, xnames) + _mono_factors(de, dnames)

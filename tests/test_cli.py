@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import argparse
+import inspect
 import json
 
 import pytest
 
-from dxext.cli import main
+from dxext.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -342,3 +344,37 @@ def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def subcommands():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("name", sorted(subcommands()))
+def test_every_option_is_read(name):
+    # An option its handler never reads is accepted and silently ignored.
+    sub = subcommands()[name]
+    source = inspect.getsource(sub.get_default("handler"))
+    unread = [
+        action.dest for action in sub._actions
+        if action.dest not in ("help", "format", "output")
+        and f"args.{action.dest}" not in source
+    ]
+    assert unread == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["confluence", "--preset", "node-xy"],
+    ["irreducible-dims", "--preset", "node-xy"],
+    ["curve-crosscheck", "--n", "2", "--model", "trivial"],
+    ["quotient-isotypic", "--group", "cyclic:2:1,1", "--character", "chi:0,0"],
+    ["quotient-cech", "--group", "cyclic:2:1,1", "--character", "chi:0,0"],
+], ids=lambda argv: argv[0])
+def test_stab_window_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--max-deg", "2", "--stab-window", "2"])
+    assert info.value.code == 2
+    code, out, _ = run(capsys, *argv, "--max-deg", "2")
+    assert code == 0 and out

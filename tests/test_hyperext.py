@@ -6,10 +6,10 @@ import pytest
 
 from dxext.curves import planar_model
 from dxext.hyperext import (
+    CokernelEngine,
     EndElement,
     ModuleIndex,
     NoTwistSolution,
-    _self_engine,
     action_ext0,
     action_ext1,
     action_ext1_on_ext1,
@@ -18,7 +18,7 @@ from dxext.hyperext import (
     ext_module_dims,
     solve_twist,
 )
-from dxext.models import DXQuotientModule, DeltaModule, KummerICModule, LineICModule
+from dxext.models import DXQuotientModule, DeltaModule, KummerICModule, LineICModule, parse_model
 from dxext.parser import parse
 from dxext.tables import EXACT_GRADED, EXACT_ZERO, STABILIZED
 from dxext.weyl import Filtration, WeylElement
@@ -26,6 +26,11 @@ from dxext.weyl import Filtration, WeylElement
 
 def P(text):
     return parse(text, 2)
+
+
+def self_engine(f):
+    """The engine of D/(Df + fD): rows NF(g*f) in D/fD, g standard."""
+    return CokernelEngine(DXQuotientModule(f), f)
 
 
 def test_node_dimension_sequence():
@@ -59,7 +64,7 @@ def test_smooth_after_coordinate_change_vanishes():
 
 
 def test_engine_widening_is_monotone():
-    engine = _self_engine(P("x*y"))
+    engine = self_engine(P("x*y"))
     engine.widen_to(2)
     previous = engine.level_dims(3)
     for width in range(3, 7):
@@ -71,7 +76,7 @@ def test_engine_widening_is_monotone():
 
 def test_engine_rejects_nonpolynomial():
     with pytest.raises(ValueError):
-        _self_engine(P("x + dx"))
+        self_engine(P("x + dx"))
     with pytest.raises(ValueError):
         ext1_self_dims(P("dx"), 3)
     with pytest.raises(ValueError):
@@ -79,7 +84,7 @@ def test_engine_rejects_nonpolynomial():
 
 
 def test_reduce_class_is_canonical():
-    engine = _self_engine(P("x*y"))
+    engine = self_engine(P("x*y"))
     engine.widen_to(6)
     quotient = engine.index.module
     e = P("x dx^2")
@@ -112,8 +117,8 @@ def test_cusp_echelon_pinned(level, width, rank, nnz, bits):
     # The echelon stores primitive rows with a positive pivot, so any
     # row kernel that yields nonzero multiples of NF(g*f) leaves these
     # counts unchanged; a kernel that changes the rows does not.
-    engine = _self_engine(P("y^2 - x^3"))
-    engine.stabilize(level, level, 3)
+    engine = self_engine(P("y^2 - x^3"))
+    engine.ext1_levels(level, level, 3)
     rows = engine.echelon.rows.values()
     assert engine.width == width
     assert engine.echelon.rank == rank
@@ -267,6 +272,40 @@ def test_kummer_and_delta_ext1_vanish():
         ext0, ext1 = ext_module_dims(module, f, 5)
         assert all(lvl.dim == 0 for lvl in ext1.levels), module.name
         assert [lvl.dim for lvl in ext0.levels] == [1, 3, 5, 7, 9, 11], module.name
+
+
+CUSP = "y^2 - x^3"
+
+
+@pytest.mark.parametrize("spec,text,max_deg,dims,status,note,value", [
+    ("dx:x*y", "x*y", 4, [1, 3, 7, 13, 21], STABILIZED, "generator_width", 9),
+    (f"dx:{CUSP}", CUSP, 3, [0] * 4, EXACT_ZERO, "generator_width", 23),
+    ("delta:2", CUSP, 4, [0] * 5, EXACT_ZERO, "generator_width", 7),
+    ("nlines-ic:2", CUSP, 4, [1, 3, 6, 9, 12], STABILIZED, "generator_width", 10),
+    ("nlines-ic:2", "x*y", 6, [1, 2, 3, 4, 5, 6, 7], EXACT_GRADED, "generator_degree_bound", 8),
+    ("free:2", "x*y", 5, [1, 5, 14, 30, 55, 91], EXACT_GRADED, "generator_degree_bound", 3),
+])
+def test_module_route_notes_pinned(spec, text, max_deg, dims, status, note, value):
+    # A bounded model reports its generator bound; the others report the
+    # width their widening stopped at, starting from max_deg + deg f.
+    module = parse_model(spec)
+    _, ext1 = ext_module_dims(module, P(text), max_deg)
+    assert ext1.dims() == dims
+    assert {lvl.status for lvl in ext1.levels} == {status}
+    assert ext1.notes == {note: value, "model": module.name}
+
+
+@pytest.mark.parametrize("window", [0, -2])
+@pytest.mark.parametrize("route", ["self", "dx:x*y", "delta:2"])
+def test_window_below_one_rejected(route, window):
+    # Checked before any branch: the bounded delta model never widens
+    # by the window, and still rejects it.
+    f = P("x*y")
+    with pytest.raises(ValueError, match="stab_window"):
+        if route == "self":
+            ext1_self_dims(f, 3, window)
+        else:
+            ext_module_dims(parse_model(route), f, 3, window)
 
 
 def test_module_index_roundtrip():

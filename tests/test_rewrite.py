@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from dxext.hyperext import _self_engine
+from dxext.hyperext import CokernelEngine
 from dxext.grading import monomials_of_degree
+from dxext.models import DXQuotientModule
 from dxext.parser import parse
 from dxext.rewrite import (
     PRESETS,
@@ -34,7 +35,8 @@ def node():
 
 @pytest.fixture(scope="module")
 def node_engine():
-    engine = _self_engine(parse("x*y", 2))
+    f = parse("x*y", 2)
+    engine = CokernelEngine(DXQuotientModule(f), f)
     # Wide enough (product degree 9) that every degree<=5 ideal
     # membership below is visible.
     engine.widen_to(7)
