@@ -31,7 +31,16 @@ integers: each row is an integer vector that is a nonzero multiple of
 NF(g*f), not NF itself.  The echelon stores every row as its primitive
 integer form with a positive pivot, which is the same for any nonzero
 multiple, so ranks, pivots, stored rows and every reduced
-representative are those of the NF rows.
+representative are those of the NF rows.  Most rows are built from the
+previous degree's rows by x-shift: when the divisor of D/fD is a
+polynomial it commutes with x_i, so for g = x_i*g'
+
+  NF(g*f) = NF(x_i*NF(g'*f)),
+
+and the row of g is x_i times the row of g', divided again.  Labels
+with no x factor, and every label when the divisor has a d part, take
+the full product g*f.  The engine adds rows one whole label degree at
+a time and keeps only the last degree's rows for the next.
 
 For one-sided questions exactness is free: v*f is nonzero of degree
 deg v + deg f whenever v is nonzero (degree additivity in a domain),
@@ -131,10 +140,12 @@ class CokernelEngine:
 
     Rows come from the model's row kernel when it has one, else from
     act_word.  They are added for whole label degrees (width = largest
-    label degree included).  Pivots are trailing (largest column), and
-    columns are numbered degree-major, so the dimension of the span
-    inside F_m is the number of pivots below the size of the degree-m
-    prefix, at every widening stage, from one shared elimination.
+    label degree included), and the kernel is handed the rows of the
+    previous degree, the only ones kept.  Pivots are trailing (largest
+    column), and columns are numbered degree-major, so the dimension of
+    the span inside F_m is the number of pivots below the size of the
+    degree-m prefix, at every widening stage, from one shared
+    elimination.
     """
 
     def __init__(self, module, f):
@@ -146,16 +157,22 @@ class CokernelEngine:
         self.f = f
         row = getattr(module, "row", None)
         if row is None:
-            self.row = lambda lab: act_word(module, {lab: Fraction(1)}, f)
+            self.row = lambda lab, previous: act_word(module, {lab: Fraction(1)}, f)
         else:
-            self.row = lambda lab: row(lab, f)
+            self.row = lambda lab, previous: row(lab, f, previous)
+        self.rows = {}  # {label: row} of the last label degree added
         self.width = -1
 
     def widen_to(self, width):
         while self.width < width:
             self.width += 1
+            previous, self.rows = self.rows, {}
             for lab in self.index.labels_of_degree(self.width):
-                self.echelon.add(self.index.vector(self.row(lab)))
+                vec = self.index.vector(self.row(lab, previous))
+                self.echelon.add(vec)
+                # keyed by the index's own label objects, so the rows held
+                # for the next degree allocate no monomials of their own
+                self.rows[lab] = self.index.combination(vec)
 
     def level_dims(self, max_deg):
         out = []

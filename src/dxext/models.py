@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import lt
 
 from .grading import compositions, monomials_of_degree
 from .linalg import primitive
@@ -330,6 +331,13 @@ class DXQuotientModule:
     integer term dict that is a nonzero multiple of NF(label*elem), or
     empty when that is zero.  An echelon stores the primitive form of
     each row with a positive pivot, so it cannot tell a row from NF.
+
+    Rows by x-shift: a polynomial f commutes with every x_i, so
+    NF(x_i*h) = NF(x_i*NF(h)).  Given the rows of the standard labels
+    one degree lower (previous), the row of a label x_i*g is x_i times
+    the row of g, divided again by f; when lm(f) has no x_i the shifted
+    row is already reduced.  Only labels with no x factor, and every
+    label when f has a d part, take the full product label*elem.
     """
 
     def __init__(self, f):
@@ -341,13 +349,15 @@ class DXQuotientModule:
         self._f_ints = primitive(f.terms)[1]
         lead_x, lead_d = max(f.terms, key=graded_key)
         self._lead = lead_x + lead_d
+        self._polynomial = f.is_polynomial
         self._standard = []  # standard monomials of each exact degree
 
     def basis(self, deg_bound):
+        n, lead = self.n, self._lead
         for d in range(len(self._standard), deg_bound + 1):
             self._standard.append([
-                mono for mono in monomials_of_degree(self.n, d)
-                if any(a < b for a, b in zip(mono[0] + mono[1], self._lead))
+                (exps[:n], exps[n:]) for exps in compositions(d, 2 * n)
+                if any(map(lt, exps, lead))
             ])
         return [mono for labels in self._standard[: deg_bound + 1] for mono in labels]
 
@@ -358,9 +368,26 @@ class DXQuotientModule:
         """Canonical representative of elem modulo fD as a combination."""
         return divide_left(self.f.terms, elem.terms, self.n)[1]
 
-    def row(self, label, elem):
-        """Integer terms: a multiple of NF(label*elem), nonzero iff that is."""
-        ints = self._f_ints if elem is self.f else primitive(elem.terms)[1]
+    def row(self, label, elem, previous=None):
+        """Integer terms: a multiple of NF(label*elem), nonzero iff that is.
+
+        previous, when given, maps every standard label one degree below
+        label to its row for the same elem; a label with an x factor
+        then gets its row by x-shift from its parent's.
+        """
+        xexp, dexp = label
+        if previous is not None and self._polynomial and any(xexp):
+            # shift in the variable where lm(f) is lowest, so the shifted
+            # row needs as little re-division as possible
+            i = min((i for i, a in enumerate(xexp) if a), key=self._lead.__getitem__)
+            parent = previous[(xexp[:i] + (xexp[i] - 1,) + xexp[i + 1:], dexp)]
+            shifted = {
+                (mx[:i] + (mx[i] + 1,) + mx[i + 1:], md): c for (mx, md), c in parent.items()
+            }
+            if not self._lead[i]:
+                return shifted
+            return pseudo_divide_left(self._f_ints, shifted, self.n)[2]
+        ints = self._f_ints if elem.terms == self.f.terms else primitive(elem.terms)[1]
         product = mul_terms({label: 1}, ints, self.n)
         return pseudo_divide_left(self._f_ints, product, self.n)[2]
 

@@ -112,6 +112,7 @@ def test_generator_width_pinned(text, max_deg, width):
 @pytest.mark.parametrize("level,width,rank,nnz,bits", [
     (2, 18, 3111, 14735, 29),
     (3, 23, 6401, 32972, 40),
+    (4, 28, 11446, 62335, 51),
 ])
 def test_cusp_echelon_pinned(level, width, rank, nnz, bits):
     # The echelon stores primitive rows with a positive pivot, so any

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dxext import models
+from dxext.hyperext import CokernelEngine
 from dxext.models import (
     DXQuotientModule,
     DeltaModule,
@@ -211,7 +213,7 @@ def test_row_is_integer_multiple_of_normal_form(text):
     # The fraction-free kernel against left division over Q: for each
     # standard label g, row(g, f) = s*NF(g*f) with s a positive integer,
     # so it is nonzero exactly when NF(g*f) is.  An equal f that is a
-    # different object takes the path that rebuilds its integer form.
+    # different object gives the same rows.
     f = parse(text)
     module = DXQuotientModule(f)
     copy = parse(text)
@@ -226,6 +228,49 @@ def test_row_is_integer_multiple_of_normal_form(text):
         assert module.row(label, copy) == row
         t = _row_multiplier(module.row(label, other), module.reduce_element(g * other))
         assert t is not None and t > 0, label
+
+
+def test_row_recognises_an_equal_f(monkeypatch):
+    # dx:<f> with --f <f> parses f twice; the copy must reuse the stored
+    # primitive form instead of recomputing it for every row.
+    module = DXQuotientModule(parse("2*x^3 + y^2"))
+    expected = [module.row(label, module.f) for label in module.basis(3)]
+
+    def fail(vec):
+        raise AssertionError("primitive form of f recomputed")
+
+    monkeypatch.setattr(models, "primitive", fail)
+    copy = parse("2*x^3 + y^2")
+    assert [module.row(label, copy) for label in module.basis(3)] == expected
+
+
+ENGINE_ROW_CASES = [
+    ("y^2 - x^3", "y^2 - x^3"),
+    ("x*y", "x*y"),
+    ("x*y*(x - y)", "x*y*(x - y)"),
+    ("3*x*y", "3*x*y"),
+    ("2*x*y + 1/2", "2*x*y + 1/2"),
+    ("x*y*z", "x*y*z"),
+    # divisors with a d part: every row is a full product
+    ("x + dx", "x^2"),
+    ("x*y + dx", "x*y"),
+]
+
+
+@pytest.mark.parametrize("divisor,text", ENGINE_ROW_CASES)
+def test_engine_rows_match_full_product(divisor, text):
+    # Rows by x-shift against the full product: through label degree 5
+    # every row the engine builds is a positive integer multiple of
+    # row(label, f), and the engine holds the rows of one degree only.
+    f = parse(text)
+    module = DXQuotientModule(parse(divisor, f.n))
+    engine = CokernelEngine(module, f)
+    for width in range(6):
+        engine.widen_to(width)
+        assert list(engine.rows) == engine.index.labels_of_degree(width)
+        for label, row in engine.rows.items():
+            t = _row_multiplier(row, module.row(label, f))
+            assert t is not None and t > 0 and t.denominator == 1, (label, row)
 
 
 def _weyl_elements(n, max_terms):
