@@ -105,7 +105,8 @@ def _combination_from_text(module, text):
 
     Labels are comma-separated integers: the flat label for the delta,
     n-lines, and Kummer models; x-exponents then d-exponents for the
-    free and quotient models.
+    free and quotient models.  A label outside the model's basis is a
+    ValueError naming it.
     """
     nested = module.name.startswith(("free:", "dx:"))
     comb = {}
@@ -127,8 +128,20 @@ def _combination_from_text(module, text):
             label = (ints[: module.n], ints[module.n:])
         else:
             label = ints
+        if not _is_basis_label(module, label):
+            raise ValueError(f"label {label_text.strip()!r} is not in the basis of {module.name}")
         comb[label] = comb.get(label, Fraction(0)) + coeff
     return {k: v for k, v in comb.items() if v}
+
+
+def _is_basis_label(module, label):
+    """Whether label is one of module.basis's labels, without listing them."""
+    kind = module.name.split(":")[0]
+    if kind in ("free", "dx"):
+        return min(label[0] + label[1]) >= 0 and (kind == "free" or module.is_standard(label))
+    size = module.n if kind == "delta" else 2
+    # the Kummer label (k, j) is e_k tensor dy^j with k in Z
+    return len(label) == size and min(label[kind == "kummer":]) >= 0
 
 
 def _combination_to_jsonable(comb):

@@ -42,6 +42,20 @@ with no x factor, and every label when the divisor has a d part, take
 the full product g*f.  The engine adds rows one whole label degree at
 a time and keeps only the last degree's rows for the next.
 
+When the divisor is a polynomial and lm(divisor) misses a variable
+x_i, the engine goes one step further and shifts its echelon rows.
+Left multiplication by x_i then maps standard monomials to standard
+monomials, so x_i*NF(h) = NF(x_i*h) with no division at all.  With S_w
+the span after label degree w,
+
+  S_w = S_(w-1) + x_i*S_(w-1) + span{rows of degree-w labels without x_i},
+
+and since x_i*S_(w-2) lies in S_(w-1), x_i*S_(w-1) is spanned modulo
+S_(w-1) by x_i*r for the echelon rows r stored during degree w-1.  Each
+x_i*r is a re-indexing of r's columns.  The spans agree at every whole
+width, so level dims, ranks and reduced representatives do too; only
+the vectors fed to the echelon change.
+
 For one-sided questions exactness is free: v*f is nonzero of degree
 deg v + deg f whenever v is nonzero (degree additivity in a domain),
 so kernels of .f per level are exact for every module, and modules
@@ -99,6 +113,7 @@ class ModuleIndex:
         self._pos = {}
         self._by_degree = []  # labels of each exact degree
         self._through = []  # label count through each degree
+        self._shift = {}  # {i: [column of x_i*label for each column]}
 
     def extend_to(self, degree):
         top = len(self._by_degree) - 1
@@ -134,6 +149,19 @@ class ModuleIndex:
     def combination(self, vec):
         return {self._labels[i]: c for i, c in vec.items()}
 
+    def shifted(self, vec, i):
+        """vec with every label x^a d^b replaced by x_i*x^a d^b.
+
+        For monomial labels whose module maps x_i*label into its basis;
+        the column map is cached and extended on demand.
+        """
+        cols = self._shift.setdefault(i, [])
+        top = max(vec)
+        while len(cols) <= top:
+            xexp, dexp = self._labels[len(cols)]
+            cols.append(self.position((xexp[:i] + (xexp[i] + 1,) + xexp[i + 1:], dexp)))
+        return {cols[c]: v for c, v in vec.items()}
+
 
 class CokernelEngine:
     """Incremental echelon of the rows row(v) = v*f of M/Mf.
@@ -146,6 +174,13 @@ class CokernelEngine:
     the span inside F_m is the number of pivots below the size of the
     degree-m prefix, at every widening stage, from one shared
     elimination.
+
+    When the module names a free_x (D/fD with f a polynomial whose lm
+    misses x_i), a degree w first inserts x_i*r for every echelon row r
+    stored during degree w-1, then the rows of the degree-w labels
+    without x_i; the labels with x_i are spanned by the shifted rows
+    (see the module docstring).  stored holds the echelon's own dicts,
+    and rows only the raw rows of the labels without x_i.
     """
 
     def __init__(self, module, f):
@@ -160,16 +195,25 @@ class CokernelEngine:
             self.row = lambda lab, previous: act_word(module, {lab: Fraction(1)}, f)
         else:
             self.row = lambda lab, previous: row(lab, f, previous)
-        self.rows = {}  # {label: row} of the last label degree added
+        self.free_x = getattr(module, "free_x", None)
+        self.rows = {}  # {label: row} built by the row kernel in the last label degree
+        self.stored = []  # echelon rows stored during the last label degree
         self.width = -1
 
     def widen_to(self, width):
+        i = self.free_x
         while self.width < width:
             self.width += 1
             previous, self.rows = self.rows, {}
-            for lab in self.index.labels_of_degree(self.width):
+            shifted, self.stored = self.stored, []
+            labels = self.index.labels_of_degree(self.width)
+            if i is not None:
+                for row in shifted:
+                    self.echelon.add(self.index.shifted(row, i), self.stored)
+                labels = [lab for lab in labels if not lab[0][i]]
+            for lab in labels:
                 vec = self.index.vector(self.row(lab, previous))
-                self.echelon.add(vec)
+                self.echelon.add(vec, self.stored)
                 # keyed by the index's own label objects, so the rows held
                 # for the next degree allocate no monomials of their own
                 self.rows[lab] = self.index.combination(vec)

@@ -80,8 +80,12 @@ class SparseEchelon:
                     work = {c: v // g for c, v in work.items()}
         return {}
 
-    def add(self, vec):
-        """Insert a vector; True when it enlarged the span."""
+    def add(self, vec, stored=None):
+        """Insert a vector; True when it enlarged the span.
+
+        When stored is a list, the row kept for vec is appended to it:
+        the echelon's own dict, which it never changes afterwards.
+        """
         r = self.residual(vec)
         if not r:
             return False
@@ -90,6 +94,8 @@ class SparseEchelon:
             r = {c: -v for c, v in r.items()}
         self.rows[p] = r
         insort(self._pivots, p)
+        if stored is not None:
+            stored.append(r)
         return True
 
     def contains(self, vec):

@@ -338,6 +338,14 @@ class DXQuotientModule:
     the row of g, divided again by f; when lm(f) has no x_i the shifted
     row is already reduced.  Only labels with no x factor, and every
     label when f has a d part, take the full product label*elem.
+
+    free_x is the first i with x_i missing from lm(f) when f is a
+    polynomial, else None.  Left multiplication by that x_i maps
+    standard monomials to standard monomials (lm(f) divides x_i*m only
+    if it divides m), so x_i*NF(h) = NF(x_i*h): x_i times any
+    combination of rows of labels of degree <= w is, with no division,
+    a combination of rows of labels of degree <= w + 1.  CokernelEngine
+    uses it to widen from its stored echelon rows.
     """
 
     def __init__(self, f):
@@ -350,6 +358,9 @@ class DXQuotientModule:
         lead_x, lead_d = max(f.terms, key=graded_key)
         self._lead = lead_x + lead_d
         self._polynomial = f.is_polynomial
+        self.free_x = None
+        if self._polynomial:
+            self.free_x = next((i for i, a in enumerate(lead_x) if not a), None)
         self._standard = []  # standard monomials of each exact degree
 
     def basis(self, deg_bound):
@@ -363,6 +374,9 @@ class DXQuotientModule:
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])
+
+    def is_standard(self, label):
+        return any(map(lt, label[0] + label[1], self._lead))
 
     def reduce_element(self, elem):
         """Canonical representative of elem modulo fD as a combination."""

@@ -226,6 +226,23 @@ def test_bad_model_or_character_is_usage_error(capsys, argv):
     assert len([line for line in err.splitlines() if line.startswith("usage error")]) == 1
 
 
+@pytest.mark.parametrize("on", ["ext0", "ext1"])
+@pytest.mark.parametrize("model,f,element,label", [
+    ("dx:x*y", "x*y", "1,1,0,0=1", "1,1,0,0"),  # x*y is not standard
+    ("dx:x + dx", "x", "1,0=3", "1,0"),  # lm(x + dx) = x
+    ("dx:x*y", "x*y", "-1,0,0,0=1", "-1,0,0,0"),
+], ids=["lm-multiple", "d-part-divisor", "negative-exponent"])
+def test_act_label_outside_basis_is_usage_error(capsys, model, f, element, label, on):
+    code, out, err = run(
+        capsys, "act", "--model", model, "--f", f, "--alpha", "x*dx",
+        f"--element={element}", "--on", on,
+    )
+    assert code == 2
+    assert out == ""
+    usage = [line for line in err.splitlines() if line.startswith("usage error")]
+    assert len(usage) == 1 and f"label {label!r}" in usage[0]
+
+
 def test_act_self_cusp_class_is_certified_zero(capsys):
     # dx * (alpha + 6) has degree 3, and level 3 of the cusp is an
     # exact-zero level, so the class is 0.

@@ -127,6 +127,78 @@ def test_cusp_echelon_pinned(level, width, rank, nnz, bits):
     assert max(abs(v).bit_length() for row in rows for v in row.values()) == bits
 
 
+# (rank, level_dims) after each whole label width, from width 0: the
+# cusp at level 4 through width 28 and E6 at level 2 through width 20.
+# Shifting stored echelon rows changes which vectors reach the echelon,
+# never the span at a whole width, so these sequences cannot move.
+CUSP_TRAJECTORY = [
+    (0, [1, 5, 15, 34, 65]),
+    (2, [1, 4, 13, 32, 63]),
+    (8, [1, 4, 10, 26, 57]),
+    (21, [1, 4, 10, 19, 44]),
+    (43, [1, 4, 10, 19, 32]),
+    (79, [1, 3, 9, 18, 30]),
+    (131, [1, 3, 8, 17, 29]),
+    (202, [1, 3, 7, 16, 28]),
+    (296, [0, 2, 6, 13, 25]),
+    (414, [0, 2, 6, 13, 23]),
+    (561, [0, 1, 4, 11, 21]),
+    (739, [0, 1, 4, 9, 19]),
+    (951, [0, 1, 4, 8, 17]),
+    (1201, [0, 0, 3, 7, 14]),
+    (1490, [0, 0, 3, 7, 14]),
+    (1823, [0, 0, 1, 5, 12]),
+    (2202, [0, 0, 1, 4, 10]),
+    (2630, [0, 0, 1, 4, 9]),
+    (3111, [0, 0, 0, 3, 8]),
+    (3646, [0, 0, 0, 3, 8]),
+    (4240, [0, 0, 0, 1, 6]),
+    (4895, [0, 0, 0, 1, 5]),
+    (5614, [0, 0, 0, 1, 4]),
+    (6401, [0, 0, 0, 0, 3]),
+    (7257, [0, 0, 0, 0, 3]),
+    (8187, [0, 0, 0, 0, 1]),
+    (9193, [0, 0, 0, 0, 1]),
+    (10278, [0, 0, 0, 0, 1]),
+    (11446, [0, 0, 0, 0, 0]),
+]
+
+E6_TRAJECTORY = [
+    (0, [1, 5, 15]),
+    (2, [1, 5, 14]),
+    (8, [1, 5, 14]),
+    (22, [1, 5, 14]),
+    (47, [1, 5, 14]),
+    (87, [1, 5, 14]),
+    (146, [1, 5, 14]),
+    (229, [1, 5, 14]),
+    (339, [1, 5, 14]),
+    (482, [1, 5, 12]),
+    (660, [1, 5, 12]),
+    (877, [1, 5, 12]),
+    (1139, [1, 3, 10]),
+    (1447, [1, 3, 9]),
+    (1808, [1, 3, 9]),
+    (2224, [1, 3, 9]),
+    (2700, [1, 3, 9]),
+    (3240, [1, 3, 8]),
+    (3847, [1, 3, 7]),
+    (4527, [0, 2, 6]),
+    (5281, [0, 2, 6]),
+]
+
+
+@pytest.mark.parametrize("text,level,trajectory", [
+    ("y^2 - x^3", 4, CUSP_TRAJECTORY),
+    ("x^3 + y^4", 2, E6_TRAJECTORY),
+], ids=["cusp", "E6"])
+def test_widening_trajectory_pinned(text, level, trajectory):
+    engine = self_engine(P(text))
+    for width, expected in enumerate(trajectory):
+        engine.widen_to(width)
+        assert (engine.echelon.rank, engine.level_dims(level)) == expected, width
+
+
 def test_twist_euler_families():
     f = P("x*y")
     for n in range(1, 5):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dxext import models
 from dxext.hyperext import CokernelEngine
+from dxext.linalg import SparseEchelon
 from dxext.models import (
     DXQuotientModule,
     DeltaModule,
@@ -254,23 +255,45 @@ ENGINE_ROW_CASES = [
     # divisors with a d part: every row is a full product
     ("x + dx", "x^2"),
     ("x*y + dx", "x*y"),
+    ("x^2 + dy", "x*y"),  # lm misses y, but f does not commute with y
+    # lm misses an x_i: the engine shifts its stored echelon rows
+    ("x^3 + y^4", "x^3 + y^4"),
+    ("y^2 - x^5", "y^2 - x^5"),
 ]
 
 
 @pytest.mark.parametrize("divisor,text", ENGINE_ROW_CASES)
 def test_engine_rows_match_full_product(divisor, text):
-    # Rows by x-shift against the full product: through label degree 5
-    # every row the engine builds is a positive integer multiple of
-    # row(label, f), and the engine holds the rows of one degree only.
+    # Span oracle: at every width through 5 the engine's echelon spans
+    # what a fresh echelon of row(label, f) over every label through
+    # that width spans, read as rank, pivot set and level dims.  Only
+    # the labels without the free x get rows of their own.
     f = parse(text)
     module = DXQuotientModule(parse(divisor, f.n))
     engine = CokernelEngine(module, f)
+    oracle = SparseEchelon()
+    i = module.free_x
     for width in range(6):
         engine.widen_to(width)
-        assert list(engine.rows) == engine.index.labels_of_degree(width)
-        for label, row in engine.rows.items():
-            t = _row_multiplier(row, module.row(label, f))
-            assert t is not None and t > 0 and t.denominator == 1, (label, row)
+        labels = engine.index.labels_of_degree(width)
+        assert list(engine.rows) == [lab for lab in labels if i is None or not lab[0][i]]
+        for label in labels:
+            oracle.add(engine.index.vector(module.row(label, f)))
+        assert engine.echelon.rank == oracle.rank
+        assert set(engine.echelon.rows) == set(oracle.rows)
+        dims = [
+            engine.index.prefix_size(m) - oracle.pivots_below(engine.index.prefix_size(m))
+            for m in range(width + 1)
+        ]
+        assert engine.level_dims(width) == dims
+
+
+def test_free_x_only_for_polynomial_divisors():
+    # the shifted-row path needs an x_i that lm(f) lacks and commutes with f
+    assert DXQuotientModule(parse("y^2 - x^3")).free_x == 1
+    assert DXQuotientModule(parse("x^3 + y^4")).free_x == 0
+    for text in ("x*y", "x*y*(x - y)", "x*y*z", "x*y + dx", "x + dx", "x^2 + dy"):
+        assert DXQuotientModule(parse(text)).free_x is None, text
 
 
 def _weyl_elements(n, max_terms):
