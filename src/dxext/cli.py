@@ -135,7 +135,7 @@ def _combination_from_text(module, text):
 
 
 def _is_basis_label(module, label):
-    """Whether label is one of module.basis's labels, without listing them."""
+    """Whether label is one of the module's basis labels, without listing them."""
     kind = module.name.split(":")[0]
     if kind in ("free", "dx"):
         return min(label[0] + label[1]) >= 0 and (kind == "free" or module.is_standard(label))

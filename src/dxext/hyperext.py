@@ -105,30 +105,28 @@ def _require_poly(f):
 
 
 class ModuleIndex:
-    """Stable degree-major numbering of a module's basis labels."""
+    """Stable degree-major numbering of a module's basis labels.
+
+    extend_to(d) lists module.labels(e) once for each degree e it has
+    not reached yet and numbers those labels after the ones it holds, so
+    a label's position never changes.  _through[e] is the label count
+    through degree e: the degree-m prefix has _through[m] labels, and
+    the labels of degree e are _labels[_through[e - 1]:_through[e]].
+    """
 
     def __init__(self, module):
         self.module = module
         self._labels = []
         self._pos = {}
-        self._by_degree = []  # labels of each exact degree
         self._through = []  # label count through each degree
         self._shift = {}  # {i: [column of x_i*label for each column]}
 
     def extend_to(self, degree):
-        top = len(self._by_degree) - 1
-        if degree <= top:
-            return
-        labels = self.module.basis(degree)
-        if labels[: len(self._labels)] != self._labels:
-            raise ValueError("module basis enumeration is not prefix-stable")
-        self._by_degree.extend([] for _ in range(degree - top))
-        for lab in labels[len(self._labels):]:
-            self._pos[lab] = len(self._labels)
-            self._labels.append(lab)
-            self._by_degree[self.module.degree(lab)].append(lab)
-        for d in range(top + 1, degree + 1):
-            self._through.append((self._through[-1] if d else 0) + len(self._by_degree[d]))
+        for d in range(len(self._through), degree + 1):
+            for lab in self.module.labels(d):
+                self._pos[lab] = len(self._labels)
+                self._labels.append(lab)
+            self._through.append(len(self._labels))
 
     def prefix_size(self, m):
         self.extend_to(m)
@@ -136,7 +134,7 @@ class ModuleIndex:
 
     def labels_of_degree(self, d):
         self.extend_to(d)
-        return list(self._by_degree[d])
+        return self._labels[self._through[d - 1] if d else 0 : self._through[d]]
 
     def position(self, label):
         if label not in self._pos:

@@ -1,9 +1,26 @@
 """Right modules over the Weyl algebra given by explicit basis actions.
 
-Each model enumerates a labeled basis degree by degree and gives the
+Each model lists its labeled basis one degree at a time and gives the
 right action of every algebra generator on a basis label as a finite
 combination of labels.  That is enough to act by arbitrary elements,
 to check the module axioms exactly, and to run the Ext computations.
+
+The model protocol, read by ModuleIndex, the engine and the CLI:
+
+  n                      number of variables
+  name                   the model's command-line spec, e.g. "delta:2"
+  labels(d)              the labels of exact degree d, in a fixed order;
+                         basis(module, m) concatenates labels(0..m)
+  degree(label)          the degree d with label in labels(d)
+  act(label, gen)        label . gen as {label: Fraction}, for gen
+                         ("x", i) or ("d", i)
+  mf_level_bound(f, m)   a label degree N such that the rows v*f with
+                         deg v <= N span M*f meet F_m, or None when the
+                         model has no such bound
+
+DXQuotientModule adds row(label, elem, previous=None), the integer row
+the engine eliminates, and free_x, the variable whose echelon rows the
+engine shifts (see its docstring).
 
 Shipped models:
 
@@ -44,6 +61,7 @@ __all__ = [
     "DXQuotientModule",
     "act_combination",
     "act_word",
+    "basis",
     "check_module_axioms",
     "parse_model",
 ]
@@ -57,6 +75,11 @@ def _merge(acc, comb, c=1):
         else:
             acc.pop(label, None)
     return acc
+
+
+def basis(module, deg_bound):
+    """The labels of degree <= deg_bound, degree by degree."""
+    return [label for d in range(deg_bound + 1) for label in module.labels(d)]
 
 
 def act_combination(module, comb, gen):
@@ -114,7 +137,7 @@ def check_module_axioms(module, deg_bound):
     """
     report = AxiomReport(deg_bound)
     gens = [("x", i) for i in range(module.n)] + [("d", i) for i in range(module.n)]
-    for label in module.basis(deg_bound):
+    for label in basis(module, deg_bound):
         base = {label: Fraction(1)}
         for gi, gj in itertools.combinations(gens, 2):
             ab = act_combination(module, act_combination(module, base, gi), gj)
@@ -146,11 +169,8 @@ class FreeWeylModule:
         self.n = n
         self.name = f"free:{n}"
 
-    def basis(self, deg_bound):
-        out = []
-        for d in range(deg_bound + 1):
-            out.extend(monomials_of_degree(self.n, d))
-        return out
+    def labels(self, d):
+        return list(monomials_of_degree(self.n, d))
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])
@@ -187,11 +207,8 @@ class DeltaModule:
         self.n = n
         self.name = f"delta:{n}"
 
-    def basis(self, deg_bound):
-        out = []
-        for d in range(deg_bound + 1):
-            out.extend(compositions(d, self.n))
-        return out
+    def labels(self, d):
+        return list(compositions(d, self.n))
 
     def degree(self, label):
         return sum(label)
@@ -244,12 +261,8 @@ class LineICModule:
         self.lines = lines
         self.name = f"nlines-ic:{lines}"
 
-    def basis(self, deg_bound):
-        out = []
-        for d in range(deg_bound + 1):
-            for i in range(d + 1):
-                out.append((i, d - i))
-        return out
+    def labels(self, d):
+        return [(i, d - i) for i in range(d + 1)]
 
     def degree(self, label):
         return label[0] + label[1]
@@ -288,16 +301,11 @@ class KummerICModule:
         self.lines = lines
         self.name = f"kummer:{lines}:{lam}"
 
-    def basis(self, deg_bound):
+    def labels(self, d):
         out = []
-        for d in range(deg_bound + 1):
-            for j in range(d + 1):
-                r = d - j
-                if r == 0:
-                    out.append((0, j))
-                else:
-                    out.append((-r, j))
-                    out.append((r, j))
+        for j in range(d + 1):
+            r = d - j
+            out.extend([(-r, j), (r, j)] if r else [(0, j)])
         return out
 
     def degree(self, label):
@@ -361,16 +369,12 @@ class DXQuotientModule:
         self.free_x = None
         if self._polynomial:
             self.free_x = next((i for i, a in enumerate(lead_x) if not a), None)
-        self._standard = []  # standard monomials of each exact degree
 
-    def basis(self, deg_bound):
+    def labels(self, d):
         n, lead = self.n, self._lead
-        for d in range(len(self._standard), deg_bound + 1):
-            self._standard.append([
-                (exps[:n], exps[n:]) for exps in compositions(d, 2 * n)
-                if any(map(lt, exps, lead))
-            ])
-        return [mono for labels in self._standard[: deg_bound + 1] for mono in labels]
+        return [
+            (exps[:n], exps[n:]) for exps in compositions(d, 2 * n) if any(map(lt, exps, lead))
+        ]
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])

@@ -47,18 +47,21 @@ class RewriteRule:
     rewrite: object  # callable(mono) -> WeylElement
 
 
+# add_rule checks a new rule's decrease on every monomial through this degree
+PROBE_DEGREE = 8
+
+
 class RewriteSystem:
-    def __init__(self, n, associated_poly=None, probe_degree=8):
+    def __init__(self, n, associated_poly=None):
         self.n = n
         self.rules = []
         self.associated_poly = associated_poly
-        self.probe_degree = probe_degree
         self._nf_cache = {}
 
     def add_rule(self, rule):
         """Register a rule after checking it is order-decreasing on all
-        monomials up to the probe degree."""
-        for d in range(self.probe_degree + 1):
+        monomials up to PROBE_DEGREE."""
+        for d in range(PROBE_DEGREE + 1):
             for mono in monomials_of_degree(self.n, d):
                 if rule.applies(mono):
                     _decreasing_rewrite(rule, mono)
@@ -166,7 +169,7 @@ def confluence_check(system, max_deg):
     Records (mono, sorted forms) for each monomial whose reducts
     disagree.  Only such forks are listed: a monomial whose reducts
     agree but reach a smaller fork is not.  Every rule output is checked
-    to decrease through max_deg, beyond the probe degree of add_rule;
+    to decrease through max_deg, beyond the PROBE_DEGREE of add_rule;
     a rule that does not raises ValueError.
     """
     report = ConfluenceReport(max_deg)

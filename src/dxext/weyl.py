@@ -329,13 +329,6 @@ class WeylElement:
             return None
         return max(monomial_degree(m, kind) for m in self.terms)
 
-    def homogeneous_parts(self, kind=Filtration.BERNSTEIN):
-        """Split into filtration-homogeneous parts, keyed by degree."""
-        parts = {}
-        for mono, c in self.terms.items():
-            parts.setdefault(monomial_degree(mono, kind), {})[mono] = c
-        return {d: WeylElement(self.n, t) for d, t in sorted(parts.items())}
-
     def principal_symbol(self, kind=Filtration.BERNSTEIN):
         """Top filtration part as a commutative polynomial in x_i, s_i."""
         top = self.degree(kind)

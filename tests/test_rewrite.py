@@ -15,6 +15,7 @@ from dxext.models import DXQuotientModule
 from dxext.parser import parse
 from dxext.rewrite import (
     PRESETS,
+    PROBE_DEGREE,
     RewriteRule,
     RewriteSystem,
     confluence_check,
@@ -146,7 +147,7 @@ def test_irreducible_projection(node):
 
 
 def test_add_rule_rejects_order_increase():
-    system = RewriteSystem(1, probe_degree=4)
+    system = RewriteSystem(1)
     bad = RewriteRule(
         name="inflate",
         applies=lambda mono: mono == ((1,), (0,)),
@@ -158,7 +159,7 @@ def test_add_rule_rejects_order_increase():
 
 def two_value_system():
     # x -> 1 and x -> 2 cannot agree on x.
-    system = RewriteSystem(1, probe_degree=4)
+    system = RewriteSystem(1)
     for name, value in (("one", 1), ("two", 2)):
         system.add_rule(RewriteRule(
             name=name,
@@ -247,14 +248,15 @@ def test_node_certified_through_degree_ten(node):
     assert all(lvl.status == "exact-graded" for lvl in table.levels)
 
 
-@pytest.mark.parametrize("max_deg", [3, 4])
+@pytest.mark.parametrize("max_deg", [9, 10])
 def test_rule_decrease_checked_past_probe_degree(max_deg):
-    # add_rule probes through degree 2 only, so it accepts x^3 -> x^4.
-    system = RewriteSystem(1, probe_degree=2)
+    # add_rule probes through PROBE_DEGREE = 8 only, so it accepts x^9 -> x^10.
+    assert PROBE_DEGREE == 8
+    system = RewriteSystem(1)
     system.add_rule(RewriteRule(
-        name="inflate-cube",
-        applies=lambda mono: mono == ((3,), (0,)),
-        rewrite=lambda mono: WeylElement.monomial(1, (4,), (0,)),
+        name="inflate-ninth",
+        applies=lambda mono: mono == ((9,), (0,)),
+        rewrite=lambda mono: WeylElement.monomial(1, (10,), (0,)),
     ))
     with pytest.raises(ValueError, match="does not decrease"):
         confluence_check(system, max_deg)

@@ -118,14 +118,11 @@ def test_ring_axioms_and_scalars():
     assert a ** 0 == WeylElement.one(n)
 
 
-def test_degrees_and_homogeneous_parts():
+def test_degrees():
     n = 2
     e = WeylElement.monomial(n, (1, 0), (2, 1)) + WeylElement.monomial(n, (0, 0), (1, 0))
     assert e.degree(Filtration.BERNSTEIN) == 4
     assert e.degree(Filtration.ORDER) == 3
-    parts = e.homogeneous_parts(Filtration.BERNSTEIN)
-    assert sorted(parts) == [1, 4]
-    assert sum(parts.values(), WeylElement.zero(n)) == e
     assert WeylElement.zero(n).degree() is None
     assert monomial_degree(((1, 0), (2, 1)), Filtration.ORDER) == 3
 
