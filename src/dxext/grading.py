@@ -17,7 +17,9 @@ __all__ = [
 
 def compositions(total, slots):
     """All tuples of `slots` nonnegative integers summing to total,
-    in lexicographic order."""
+    in lexicographic order; none when total is negative."""
+    if total < 0:
+        return
     if slots == 1:
         yield (total,)
         return

@@ -52,9 +52,10 @@ the span after label degree w,
 
 and since x_i*S_(w-2) lies in S_(w-1), x_i*S_(w-1) is spanned modulo
 S_(w-1) by x_i*r for the echelon rows r stored during degree w-1.  Each
-x_i*r is a re-indexing of r's columns.  The spans agree at every whole
-width, so level dims, ranks and reduced representatives do too; only
-the vectors fed to the echelon change.
+x_i*r is a re-indexing of r's columns, so it is already a primitive
+integer row and enters the echelon without re-normalising.  The spans
+agree at every whole width, so level dims, ranks and reduced
+representatives do too; only the vectors fed to the echelon change.
 
 For one-sided questions exactness is free: v*f is nonzero of degree
 deg v + deg f whenever v is nonzero (degree additivity in a domain),
@@ -104,6 +105,11 @@ def _require_poly(f):
         raise ValueError("f must be a polynomial (no differential part)")
 
 
+def _require_degree(d):
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
+
+
 class ModuleIndex:
     """Stable degree-major numbering of a module's basis labels.
 
@@ -129,10 +135,12 @@ class ModuleIndex:
             self._through.append(len(self._labels))
 
     def prefix_size(self, m):
+        _require_degree(m)
         self.extend_to(m)
         return self._through[m]
 
     def labels_of_degree(self, d):
+        _require_degree(d)
         self.extend_to(d)
         return self._labels[self._through[d - 1] if d else 0 : self._through[d]]
 
@@ -178,7 +186,9 @@ class CokernelEngine:
     stored during degree w-1, then the rows of the degree-w labels
     without x_i; the labels with x_i are spanned by the shifted rows
     (see the module docstring).  stored holds the echelon's own dicts,
-    and rows only the raw rows of the labels without x_i.
+    and rows only the raw rows of the labels without x_i.  A stored row
+    is primitive, and so is its shift, so the shifted rows are added
+    with is_primitive and skip linalg.primitive.
     """
 
     def __init__(self, module, f):
@@ -207,7 +217,7 @@ class CokernelEngine:
             labels = self.index.labels_of_degree(self.width)
             if i is not None:
                 for row in shifted:
-                    self.echelon.add(self.index.shifted(row, i), self.stored)
+                    self.echelon.add(self.index.shifted(row, i), self.stored, is_primitive=True)
                 labels = [lab for lab in labels if not lab[0][i]]
             for lab in labels:
                 vec = self.index.vector(self.row(lab, previous))

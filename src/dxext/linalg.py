@@ -9,6 +9,13 @@ column of the row, which makes prefix queries exact: with columns
 enumerated degree by degree, the number of rows whose pivot falls
 inside the first k columns equals the dimension of the intersection of
 the span with that coordinate prefix.
+
+A vector enters as its primitive form, except where the caller says it
+already is one (is_primitive).  CokernelEngine does so for the shifted
+copies of its stored rows: a stored row is a primitive integer row, and
+shifting only renames its columns, so primitive() would return it
+unchanged.  The residual, the stored row and every answer are the same
+either way.
 """
 
 from __future__ import annotations
@@ -51,9 +58,13 @@ class SparseEchelon:
     def rank(self):
         return len(self.rows)
 
-    def residual(self, vec):
-        """Primitive integer residual of vec against the current rows."""
-        work = primitive(vec)[1]
+    def residual(self, vec, *, is_primitive=False):
+        """Primitive integer residual of vec against the current rows.
+
+        is_primitive says that vec is already a primitive integer row
+        with no zero entries, so it is copied instead of normalised.
+        """
+        work = dict(vec) if is_primitive else primitive(vec)[1]
         while work:
             p = max(work)
             row = self.rows.get(p)
@@ -80,13 +91,14 @@ class SparseEchelon:
                     work = {c: v // g for c, v in work.items()}
         return {}
 
-    def add(self, vec, stored=None):
+    def add(self, vec, stored=None, *, is_primitive=False):
         """Insert a vector; True when it enlarged the span.
 
         When stored is a list, the row kept for vec is appended to it:
         the echelon's own dict, which it never changes afterwards.
+        is_primitive is passed on to residual.
         """
-        r = self.residual(vec)
+        r = self.residual(vec, is_primitive=is_primitive)
         if not r:
             return False
         p = max(r)

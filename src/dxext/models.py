@@ -335,6 +335,14 @@ class DXQuotientModule:
     listed in graded order, and the normal form of an element is its
     remainder under left division by f.
 
+    labels(d) walks the exponent tuples of degree d part by part, in
+    lexicographic order.  While every part so far is at least lm(f)'s
+    exponent there, lm(f) may still divide, so the walk goes on to the
+    next part, and skips it when lm(f)'s remaining exponents are all
+    zero (no completion can then be standard).  Once a part falls below
+    lm(f)'s, every completion is standard and is listed whole through
+    grading.compositions.
+
     row(label, elem) is the fraction-free remainder of label*elem: an
     integer term dict that is a nonzero multiple of NF(label*elem), or
     empty when that is zero.  An echelon stores the primitive form of
@@ -371,10 +379,27 @@ class DXQuotientModule:
             self.free_x = next((i for i, a in enumerate(lead_x) if not a), None)
 
     def labels(self, d):
-        n, lead = self.n, self._lead
-        return [
-            (exps[:n], exps[n:]) for exps in compositions(d, 2 * n) if any(map(lt, exps, lead))
-        ]
+        n, lead, last = self.n, self._lead, 2 * self.n - 1
+        live = [any(lead[k:]) for k in range(last + 1)]
+        out = []
+
+        def walk(prefix, k, rest):
+            # each part in prefix is >= lead's there; a standard label
+            # needs a later part below lead's, so live[k] must hold
+            if k == last:
+                if rest < lead[k]:
+                    out.append(prefix + (rest,))
+                return
+            for head in range(rest + 1):
+                if head < lead[k]:
+                    start = prefix + (head,)
+                    out.extend(start + tail for tail in compositions(rest - head, last - k))
+                elif live[k + 1]:
+                    walk(prefix + (head,), k + 1, rest - head)
+
+        if live[0]:
+            walk((), 0, d)
+        return [(exps[:n], exps[n:]) for exps in out]
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])

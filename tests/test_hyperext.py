@@ -1,5 +1,6 @@
 """Two-term resolution engine: truncation tables, twists, actions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,12 @@ def test_cusp_echelon_pinned(level, width, rank, nnz, bits):
     assert engine.echelon.rank == rank
     assert sum(len(row) for row in rows) == nnz
     assert max(abs(v).bit_length() for row in rows for v in row.values()) == bits
+    # shifted rows enter the echelon without re-normalising, which is
+    # sound only because every stored row is primitive with its largest
+    # column positive
+    for row in rows:
+        assert math.gcd(*row.values()) == 1
+        assert row[max(row)] > 0
 
 
 # (rank, level_dims) after each whole label width, from width 0: the

@@ -1,7 +1,11 @@
 """Sparse exact linear algebra against a dense Fraction oracle."""
 
+import math
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxext.linalg import SparseEchelon
 
@@ -83,6 +87,28 @@ def test_contains_and_residual():
             for v in res.values():
                 g = __import__("math").gcd(g, v)
             assert g == 1
+
+
+@st.composite
+def primitive_int_rows(draw):
+    row = draw(st.dictionaries(
+        st.integers(0, 7), st.integers(-9, 9).filter(bool), min_size=1, max_size=6
+    ))
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(primitive_int_rows(), max_size=12))
+def test_primitive_rows_enter_unchanged(rows):
+    # Rows that are already primitive integer rows may skip primitive();
+    # the echelon must come out the same, and the caller's rows untouched.
+    copies = [dict(row) for row in rows]
+    plain, trusted = SparseEchelon(), SparseEchelon()
+    grew = [plain.add(row) for row in rows]
+    assert [trusted.add(row, is_primitive=True) for row in rows] == grew
+    assert trusted.rows == plain.rows
+    assert rows == copies
 
 
 def test_trailing_pivot_prefix_identity():

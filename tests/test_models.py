@@ -45,7 +45,11 @@ def test_module_axioms(module):
 
 
 def label_models():
-    return all_models() + [DXQuotientModule(parse("y^2 - x^3")), DXQuotientModule(parse("x + dx"))]
+    return all_models() + [
+        DXQuotientModule(parse("y^2 - x^3")),
+        DXQuotientModule(parse("x + dx")),
+        DXQuotientModule(parse("x*y*z")),
+    ]
 
 
 @pytest.mark.parametrize("module", label_models(), ids=lambda m: m.name)
@@ -62,14 +66,21 @@ def test_labels_by_degree(module):
     assert basis(module, 6) == concatenated
 
 
-@pytest.mark.parametrize("module", label_models(), ids=lambda m: m.name)
+@pytest.mark.parametrize("module", label_models() + [DeltaModule(1)], ids=lambda m: m.name)
 def test_negative_bound_lists_nothing(module):
     assert basis(module, 3)
     assert basis(module, -1) == basis(module, -2) == []
+    assert module.labels(-1) == module.labels(-2) == []
     index = ModuleIndex(module)
     index.extend_to(-2)
     assert index._labels == [] and index._through == []
     assert index.labels_of_degree(0) == module.labels(0)
+    index.extend_to(3)
+    for d in (-1, -2):
+        with pytest.raises(ValueError):
+            index.labels_of_degree(d)
+        with pytest.raises(ValueError):
+            index.prefix_size(d)
 
 
 @pytest.mark.parametrize("module", all_models(), ids=lambda m: m.name)
@@ -175,7 +186,12 @@ def test_dx_quotient_right_action_kills_ideal():
     assert act_word(module, {one: Fraction(1)}, f) == {}
 
 
-DXQ_ORACLE_CASES = ["x*y", "y^2 - x^3", "3*x^2*y - y^2", "x + dx", "x*dy + y^2", "dx*dy - 2"]
+# x^3 + y^4 (E6), x^3 + x*y^3 (E7, lm holds every x) and y^2 - x^5
+# prune different subtrees of the label walk in DXQuotientModule.labels
+DXQ_ORACLE_CASES = [
+    "x*y", "y^2 - x^3", "3*x^2*y - y^2", "x + dx", "x*dy + y^2", "dx*dy - 2",
+    "x^3 + y^4", "x^3 + x*y^3", "y^2 - x^5",
+]
 
 
 @pytest.mark.parametrize("text", DXQ_ORACLE_CASES)
