@@ -7,7 +7,10 @@ back), so a result can be reproduced from the report alone.  Wall time
 goes to stderr, keeping stdout byte-identical across repeated runs.
 
 Exit codes: 0 on success, 1 when a well-formed computation fails
-(no twist solution, violated precondition), 2 on usage errors.
+(no twist solution, violated precondition), 2 on usage errors.  Every
+piece of outside input is read through `_read`, so input that does not
+parse is always a usage error, and every report is one `Rendered`
+envelope.
 """
 
 import argparse
@@ -18,6 +21,7 @@ from fractions import Fraction
 
 from .curves import CurveSpec, cross_check, predict
 from .hyperext import (
+    DEFAULT_WINDOW,
     NoTwistSolution,
     action_ext0,
     action_ext1,
@@ -28,7 +32,7 @@ from .hyperext import (
     solve_twist,
 )
 from .models import parse_model
-from .parser import ParseError, parse
+from .parser import parse
 from .quotients import (
     hypersurface_cech_dims,
     ic_local_system_ext_dims,
@@ -48,15 +52,20 @@ class UsageError(Exception):
     pass
 
 
-def _parse_element(text, n=None, what="element"):
+def _read(what, text, convert, *args):
+    """Return convert(text, *args) as a usage error naming the input on failure.
+
+    A failure is a ValueError (ParseError and JSONDecodeError are ones),
+    or a RecursionError from text nested too deeply to parse.
+    """
     try:
-        return parse(text, n)
-    except ParseError as exc:
+        return convert(text, *args)
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def _parse_poly(text, n=None, what="f"):
-    elem = _parse_element(text, n, what)
+    elem = _read(what, text, parse, n)
     if elem.is_zero or not elem.is_polynomial:
         raise UsageError(
             f"{what} must be a nonzero polynomial in the coordinates, "
@@ -73,18 +82,8 @@ def _get_preset(name):
     return PRESETS[name]()
 
 
-def _get_group(text):
-    try:
-        return parse_group(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot parse group {text!r}: {exc}") from exc
-
-
 def _get_character(text, group):
-    try:
-        chi = parse_character(text)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse character {text!r}: {exc}") from exc
+    chi = _read("character", text, parse_character)
     if len(chi.exponents) != group.n:
         raise UsageError(
             f"character {text!r} has {len(chi.exponents)} entries, "
@@ -93,20 +92,13 @@ def _get_character(text, group):
     return chi
 
 
-def _get_model(text):
-    try:
-        return parse_model(text)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse model {text!r}: {exc}") from exc
-
-
-def _combination_from_text(module, text):
+def _combination_from_text(text, module):
     """Parse `l1,l2=coeff; ...` into a module combination.
 
     Labels are comma-separated integers: the flat label for the delta,
     n-lines, and Kummer models; x-exponents then d-exponents for the
-    free and quotient models.  A label outside the model's basis is a
-    ValueError naming it.
+    free and quotient models.  A label outside the model's basis, or a
+    coefficient with a zero denominator, is a ValueError naming it.
     """
     nested = module.name.startswith(("free:", "dx:"))
     comb = {}
@@ -116,7 +108,12 @@ def _combination_from_text(module, text):
             continue
         if "=" in chunk:
             label_text, coeff_text = chunk.rsplit("=", 1)
-            coeff = Fraction(coeff_text.strip())
+            try:
+                coeff = Fraction(coeff_text.strip())
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"coefficient {coeff_text.strip()!r} has a zero denominator"
+                ) from None
         else:
             label_text, coeff = chunk, Fraction(1)
         ints = tuple(int(v) for v in label_text.split(","))
@@ -172,27 +169,34 @@ def _certification(table):
     return {"statuses": statuses, "notes": dict(table.notes)}
 
 
-def _kv_csv(pairs):
-    lines = ["key,value"]
-    lines.extend(f"{k},{v}" for k, v in pairs)
-    return "\n".join(lines)
-
-
 class Rendered:
-    """One report in all three output formats."""
+    """One report in all three output formats, and the exit code it ends with.
 
-    def __init__(self, json_dict, text, csv=None):
-        self.json_dict = json_dict
-        self.text = text
+    The JSON is the envelope {"command", "input", "result"}, plus
+    "certification" on table reports.  The text is the header
+    "<command> (k=v, ...)" over the inputs named in `shown` (all of them
+    by default), then `body`; with `shown=()` it is `body` alone.  The
+    CSV is `csv`, or else the flattened JSON as key,value rows.
+    """
+
+    def __init__(self, command, inputs, result, body, shown=None, csv=None,
+                 certification=None, exit_code=0):
+        self.json_dict = {"command": command, "input": inputs, "result": result}
+        if certification is not None:
+            self.json_dict["certification"] = certification
+        keys = inputs if shown is None else shown
+        header = ", ".join(f"{k}={inputs[k]}" for k in keys)
+        self.text = f"{command} ({header})\n{body}" if keys else body
         self.csv = csv
+        self.exit_code = exit_code
 
     def emit(self, fmt):
         if fmt == "json":
             return json.dumps(self.json_dict, indent=2, sort_keys=True)
         if fmt == "csv":
             if self.csv is None:
-                flat = _flatten(self.json_dict)
-                return _kv_csv(flat)
+                pairs = _flatten(self.json_dict)
+                return "\n".join(["key,value"] + [f"{k},{v}" for k, v in pairs])
             return self.csv
         return self.text
 
@@ -210,15 +214,20 @@ def _flatten(data, prefix=""):
 
 
 def _table_report(command, inputs, table):
-    payload = {
-        "command": command,
-        "input": inputs,
-        "result": table.to_json_dict(),
-        "certification": _certification(table),
-    }
-    header = ", ".join(f"{k}={v}" for k, v in inputs.items())
-    text = f"{command} ({header})\n{table.to_text()}"
-    return Rendered(payload, text, table.to_csv())
+    return Rendered(
+        command, inputs, table.to_json_dict(), table.to_text(),
+        csv=table.to_csv(), certification=_certification(table),
+    )
+
+
+def _dims_report(command, inputs, dims, extra=None, text_extra=""):
+    gf = dims.gf_string()
+    return Rendered(
+        command, inputs,
+        {**dims.to_json_dict(), "generatingFunction": gf, **(extra or {})},
+        f"{dims.to_text()}\ngenerating function: {gf}{text_extra}",
+        csv=dims.to_csv(),
+    )
 
 
 def cmd_ext_self(args):
@@ -233,7 +242,7 @@ def cmd_ext_self(args):
 
 
 def cmd_ext_module(args):
-    module = _get_model(args.model)
+    module = _read("model", args.model, parse_model)
     f = _parse_poly(args.f, module.n)
     ext0, ext1 = ext_module_dims(module, f, args.max_deg, args.stab_window)
     inputs = {
@@ -242,58 +251,41 @@ def cmd_ext_module(args):
         "maxDeg": args.max_deg,
         "stabWindow": args.stab_window,
     }
-    payload = {
-        "command": "ext-module",
-        "input": inputs,
-        "result": {"ext0": ext0.to_json_dict(), "ext1": ext1.to_json_dict()},
-        "certification": {
-            "ext0": _certification(ext0),
-            "ext1": _certification(ext1),
-        },
-    }
-    header = ", ".join(f"{k}={v}" for k, v in inputs.items())
-    text = (
-        f"ext-module ({header})\n"
+    return Rendered(
+        "ext-module", inputs,
+        {"ext0": ext0.to_json_dict(), "ext1": ext1.to_json_dict()},
         f"kernel of right multiplication by f:\n{ext0.to_text()}\n"
-        f"cokernel of right multiplication by f:\n{ext1.to_text()}"
+        f"cokernel of right multiplication by f:\n{ext1.to_text()}",
+        csv=ext1.to_csv(),
+        certification={"ext0": _certification(ext0), "ext1": _certification(ext1)},
     )
-    return Rendered(payload, text, ext1.to_csv())
 
 
 def cmd_twist(args):
     f = _parse_poly(args.f)
-    alpha = _parse_element(args.alpha, f.n, "alpha")
+    alpha = _read("alpha", args.alpha, parse, f.n)
     element = solve_twist(f, alpha)
-    inputs = {"f": str(f), "alpha": str(element.alpha)}
-    payload = {
-        "command": "twist",
-        "input": inputs,
-        "result": {
-            "beta": str(element.beta),
-            "identityChecked": element.verify(f),
-        },
-    }
-    text = (
-        f"twist (f={f})\nalpha = {element.alpha}\nbeta  = {element.beta}\n"
-        f"identity alpha*f == f*beta checked: {element.verify(f)}"
+    checked = element.verify(f)
+    return Rendered(
+        "twist", {"f": str(f), "alpha": str(element.alpha)},
+        {"beta": str(element.beta), "identityChecked": checked},
+        f"alpha = {element.alpha}\nbeta  = {element.beta}\n"
+        f"identity alpha*f == f*beta checked: {checked}",
+        shown=("f",),
     )
-    return Rendered(payload, text)
 
 
 def cmd_end_member(args):
     f = _parse_poly(args.f)
-    h = _parse_element(args.h, f.n, "h")
+    h = _read("h", args.h, parse, f.n)
     element = end_membership(f, h)
-    inputs = {"f": str(f), "h": str(h)}
     result = {"member": element is not None}
-    if element is not None:
-        result["beta"] = str(element.beta)
-    payload = {"command": "end-member", "input": inputs, "result": result}
     if element is None:
-        text = f"end-member (f={f})\n{h} does not normalize f: no twist exists"
+        body = f"{h} does not normalize f: no twist exists"
     else:
-        text = f"end-member (f={f})\n{h} is an endomorphism; beta = {element.beta}"
-    return Rendered(payload, text)
+        result["beta"] = str(element.beta)
+        body = f"{h} is an endomorphism; beta = {element.beta}"
+    return Rendered("end-member", {"f": str(f), "h": str(h)}, result, body, shown=("f",))
 
 
 def cmd_act(args):
@@ -305,41 +297,29 @@ def cmd_act(args):
             raise UsageError(
                 "--by acts on the self Ext group; drop --model/--on"
             )
-        e = _parse_element(args.element, f.n, "element")
-        d = _parse_element(args.by, f.n, "by")
+        e = _read("element", args.element, parse, f.n)
+        d = _read("by", args.by, parse, f.n)
         result = action_ext1_on_ext1(f, e, d)
-        inputs = {"f": str(f), "element": str(e), "by": str(d)}
-        payload = {
-            "command": "act",
-            "input": inputs,
-            "result": {"class": str(result)},
-        }
-        text = f"act (f={f})\n[{e}] * [{d}] = [{result}]"
-        return Rendered(payload, text)
-    alpha = _parse_element(args.alpha, f.n, "alpha")
+        return Rendered(
+            "act", {"f": str(f), "element": str(e), "by": str(d)},
+            {"class": str(result)}, f"[{e}] * [{d}] = [{result}]", shown=("f",),
+        )
+    alpha = _read("alpha", args.alpha, parse, f.n)
     end_el = solve_twist(f, alpha)
     if args.model is None:
         if args.on == "ext0":
             raise UsageError("--on ext0 needs --model")
-        m = _parse_element(args.element, f.n, "element")
+        m = _read("element", args.element, parse, f.n)
         result = action_ext1(f, end_el, m)
-        inputs = {"f": str(f), "alpha": str(alpha), "element": str(m)}
-        payload = {
-            "command": "act",
-            "input": inputs,
-            "result": {"class": str(result)},
-        }
-        text = f"act (f={f})\nalpha = {alpha} acting on [{m}] = [{result}]"
-        return Rendered(payload, text)
-    module = _get_model(args.model)
-    try:
-        comb = _combination_from_text(module, args.element)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse element {args.element!r}: {exc}") from exc
-    if args.on == "ext0":
-        result = action_ext0(f, end_el, comb, module)
-    else:
-        result = action_ext1(f, end_el, comb, module)
+        return Rendered(
+            "act", {"f": str(f), "alpha": str(alpha), "element": str(m)},
+            {"class": str(result)}, f"alpha = {alpha} acting on [{m}] = [{result}]",
+            shown=("f",),
+        )
+    module = _read("model", args.model, parse_model)
+    comb = _read("element", args.element, _combination_from_text, module)
+    action = action_ext0 if args.on == "ext0" else action_ext1
+    result = action(f, end_el, comb, module)
     inputs = {
         "f": str(f),
         "alpha": str(alpha),
@@ -347,56 +327,39 @@ def cmd_act(args):
         "element": _combination_to_text(comb),
         "on": args.on,
     }
-    payload = {
-        "command": "act",
-        "input": inputs,
-        "result": {"terms": _combination_to_jsonable(result)},
-    }
-    text = (
-        f"act (f={f}, model={module.name}, on={args.on})\n"
-        f"alpha = {alpha}\nresult: {_combination_to_text(result)}"
+    return Rendered(
+        "act", inputs, {"terms": _combination_to_jsonable(result)},
+        f"alpha = {alpha}\nresult: {_combination_to_text(result)}",
+        shown=("f", "model", "on"),
     )
-    return Rendered(payload, text)
 
 
 def cmd_rewrite(args):
     system = _get_preset(args.preset)
-    elem = _parse_element(args.element, system.n, "element")
+    elem = _read("element", args.element, parse, system.n)
     nf = system.normal_form(elem)
     irreducible = all(system.is_irreducible(m) for m in elem.terms)
-    inputs = {"preset": args.preset, "element": str(elem)}
-    payload = {
-        "command": "rewrite",
-        "input": inputs,
-        "result": {"normalForm": str(nf), "inputIrreducible": irreducible},
-    }
-    text = (
-        f"rewrite (preset={args.preset})\ninput: {elem}\n"
-        f"normal form: {nf}\ninput already irreducible: {irreducible}"
+    return Rendered(
+        "rewrite", {"preset": args.preset, "element": str(elem)},
+        {"normalForm": str(nf), "inputIrreducible": irreducible},
+        f"input: {elem}\nnormal form: {nf}\ninput already irreducible: {irreducible}",
+        shown=("preset",),
     )
-    return Rendered(payload, text)
 
 
 def cmd_confluence(args):
     system = _get_preset(args.preset)
     report = confluence_check(system, args.max_deg)
-    inputs = {"preset": args.preset, "maxDeg": args.max_deg}
-    examples = [list(m) for m, _ in report.violations[:5]]
-    payload = {
-        "command": "confluence",
-        "input": inputs,
-        "result": {
-            "confluent": report.confluent,
-            "violations": len(report.violations),
-            "examples": examples,
-        },
+    result = {
+        "confluent": report.confluent,
+        "violations": len(report.violations),
+        "examples": [list(m) for m, _ in report.violations[:5]],
     }
-    text = (
-        f"confluence (preset={args.preset}, maxDeg={args.max_deg})\n"
+    return Rendered(
+        "confluence", {"preset": args.preset, "maxDeg": args.max_deg}, result,
         f"violations: {len(report.violations)}\n"
-        f"confluent through degree {args.max_deg}: {report.confluent}"
+        f"confluent through degree {args.max_deg}: {report.confluent}",
     )
-    return Rendered(payload, text)
 
 
 def cmd_irreducible_dims(args):
@@ -413,57 +376,30 @@ def _read_curve(text):
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read curve file: {exc}") from exc
-    try:
-        return CurveSpec.from_json(text)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot parse curve description: {exc}") from exc
+    return CurveSpec.from_json(text)
 
 
 def cmd_curve_predict(args):
-    spec = _read_curve(args.curve)
+    spec = _read("curve", args.curve, _read_curve)
     prediction = predict(spec.points, spec.local_system, simple=args.simple)
-    inputs = {"curve": spec.to_json_dict(), "simple": args.simple}
-    payload = {
-        "command": "curve-predict",
-        "input": inputs,
-        "result": {
-            "verdict": prediction.verdict,
-            "justification": prediction.justification,
-        },
-    }
-    text = (
-        f"curve-predict (simple={args.simple})\n"
-        f"verdict: {prediction.verdict}\nwhy: {prediction.justification}"
+    return Rendered(
+        "curve-predict", {"curve": spec.to_json_dict(), "simple": args.simple},
+        {"verdict": prediction.verdict, "justification": prediction.justification},
+        f"verdict: {prediction.verdict}\nwhy: {prediction.justification}",
+        shown=("simple",),
     )
-    return Rendered(payload, text)
 
 
 def cmd_curve_crosscheck(args):
     report = cross_check(args.n, args.model, args.max_deg)
-    payload = {
-        "command": "curve-crosscheck",
-        "input": {"n": args.n, "model": report.model, "maxDeg": args.max_deg},
-        "result": report.to_json_dict(),
-    }
-    return Rendered(payload, report.to_text(), report.ext1.to_csv())
-
-
-def _dims_report(command, inputs, dims, extra=None):
-    result = dims.to_json_dict()
-    result["generatingFunction"] = dims.gf_string()
-    if extra:
-        result.update(extra)
-    payload = {"command": command, "input": inputs, "result": result}
-    header = ", ".join(f"{k}={v}" for k, v in inputs.items())
-    text = (
-        f"{command} ({header})\n{dims.to_text()}\n"
-        f"generating function: {dims.gf_string()}"
+    return Rendered(
+        "curve-crosscheck", {"n": args.n, "model": report.model, "maxDeg": args.max_deg},
+        report.to_json_dict(), report.to_text(), shown=(), csv=report.ext1.to_csv(),
     )
-    return Rendered(payload, text, dims.to_csv())
 
 
 def cmd_quotient_isotypic(args):
-    group = _get_group(args.group)
+    group = _read("group", args.group, parse_group)
     chi = _get_character(args.character, group)
     dims = isotypic_dims(group, chi, args.max_deg)
     extra = {}
@@ -483,26 +419,22 @@ def cmd_quotient_isotypic(args):
 
 
 def cmd_quotient_rend(args):
-    group = _get_group(args.group)
+    group = _read("group", args.group, parse_group)
     dims = rend_cohomology_dims(group, args.max_deg)
     inputs = {"group": args.group.strip(), "maxDeg": args.max_deg}
-    extra = {}
-    text_extra = ""
-    if args.compare_f:
-        f = _parse_poly(args.compare_f, what="compare-f")
-        table = ext1_self_dims(f, args.max_deg, args.stab_window)
-        extra["hypersurfaceExt1"] = table.to_json_dict()
-        text_extra = (
-            f"\nhypersurface route for f = {f} (different grading, "
-            f"exploratory comparison only):\n{table.to_text()}"
-        )
-    rendered = _dims_report("quotient-rend", inputs, dims, extra)
-    rendered.text += text_extra
-    return rendered
+    if not args.compare_f:
+        return _dims_report("quotient-rend", inputs, dims)
+    f = _parse_poly(args.compare_f, what="compare-f")
+    table = ext1_self_dims(f, args.max_deg, args.stab_window)
+    return _dims_report(
+        "quotient-rend", inputs, dims, {"hypersurfaceExt1": table.to_json_dict()},
+        f"\nhypersurface route for f = {f} (different grading, "
+        f"exploratory comparison only):\n{table.to_text()}",
+    )
 
 
 def cmd_quotient_cech(args):
-    group = _get_group(args.group)
+    group = _read("group", args.group, parse_group)
     chi = _get_character(args.character, group)
     dims = hypersurface_cech_dims(group, chi, args.max_deg)
     inputs = {
@@ -515,28 +447,22 @@ def cmd_quotient_cech(args):
 
 def cmd_verify(args):
     results = run_suite(args.suite)
-    lines = []
     for r in results:
-        word = "PASS" if r.passed else "FAIL"
-        lines.append(f"{word}  {r.label}: {r.detail}")
         print(f"{r.label}: {r.seconds:.2f}s", file=sys.stderr)
     all_passed = all(r.passed for r in results)
-    payload = {
-        "command": "verify",
-        "input": {"suite": args.suite},
-        "result": {
-            "checks": [
-                {"label": r.label, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "allPassed": all_passed,
-        },
+    result = {
+        "checks": [
+            {"label": r.label, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ],
+        "allPassed": all_passed,
     }
-    summary = "all checks passed" if all_passed else "FAILURES PRESENT"
-    text = "\n".join(lines + [summary])
-    rendered = Rendered(payload, text)
-    rendered.exit_code = 0 if all_passed else 1
-    return rendered
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.label}: {r.detail}" for r in results]
+    lines.append("all checks passed" if all_passed else "FAILURES PRESENT")
+    return Rendered(
+        "verify", {"suite": args.suite}, result, "\n".join(lines),
+        shown=(), exit_code=0 if all_passed else 1,
+    )
 
 
 def _nonnegative(value):
@@ -561,9 +487,9 @@ def _add_common(sub, table=True, window=False):
         )
     if window:
         sub.add_argument(
-            "--stab-window", type=_positive, default=3,
+            "--stab-window", type=_positive, default=DEFAULT_WINDOW,
             help="consecutive stable widenings before accepting a bound "
-            "(default 3)",
+            f"(default {DEFAULT_WINDOW})",
         )
     sub.add_argument(
         "--format", choices=("json", "csv", "text"), default="text",
@@ -725,7 +651,7 @@ def main(argv=None):
             return 2
     else:
         print(output)
-    return getattr(rendered, "exit_code", 0)
+    return rendered.exit_code
 
 
 if __name__ == "__main__":

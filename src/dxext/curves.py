@@ -280,36 +280,53 @@ class CurveSpec:
 
     @classmethod
     def from_json(cls, data):
+        """Build a spec from JSON text or its decoded dict.
+
+        Data of the wrong shape is a ValueError naming the field.
+        """
         if isinstance(data, str):
             data = json.loads(data)
         try:
             raw_points = data["points"]
             local = data["localSystem"]
-            point_supported = bool(local["pointSupported"])
+            point_supported = local["pointSupported"]
             raw_eigen = local.get("eigenvalues", [])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curve description: {exc}") from exc
+        if not isinstance(point_supported, bool):
+            raise ValueError("localSystem.pointSupported must be true or false")
         points = []
-        for entry in raw_points:
+        for i, entry in enumerate(_json_list(raw_points, "points")):
+            if not isinstance(entry, dict):
+                raise ValueError(f"points[{i}] must be an object")
             kind = entry.get("kind")
             if kind == CUSP:
                 points.append(CurvePoint.cusp(entry.get("label", "")))
             elif kind == MULTICROSS:
-                points.append(
-                    CurvePoint.multicross(
-                        int(entry["branches"]), entry.get("label", "")
-                    )
-                )
+                branches = entry.get("branches")
+                if type(branches) is not int:
+                    raise ValueError(f"points[{i}].branches must be an integer")
+                points.append(CurvePoint.multicross(branches, entry.get("label", "")))
             else:
                 raise ValueError(f"unknown curve point kind {kind!r}")
+        where = "localSystem.eigenvalues"
         eigen = tuple(
             tuple(
-                tuple(Eigenvalue.from_json_value(v) for v in branch)
-                for branch in point
+                tuple(
+                    Eigenvalue.from_json_value(v)
+                    for v in _json_list(branch, f"{where}[{p}][{b}]")
+                )
+                for b, branch in enumerate(_json_list(point, f"{where}[{p}]"))
             )
-            for point in raw_eigen
+            for p, point in enumerate(_json_list(raw_eigen, where))
         )
         return cls(tuple(points), LocalSystemSpec(eigen, point_supported))
+
+
+def _json_list(value, where):
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {type(value).__name__}")
+    return value
 
 
 def planar_model(n):

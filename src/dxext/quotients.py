@@ -470,16 +470,27 @@ def molien_isotypic_dims(action, chi, max_deg):
 
 
 def parse_group(text):
-    """Parse `cyclic:N:v1,...,vn` or a JSON object with order/generators."""
+    """Parse `cyclic:N:v1,...,vn` or a JSON object with order/generators.
+
+    Malformed text, JSON of the wrong shape included, is a ValueError.
+    """
     text = text.strip()
     if text.startswith("{"):
         data = json.loads(text)
         if "order" not in data or "generators" not in data:
             raise ValueError("JSON group needs both order and generators")
-        gens = [tuple(g) for g in data["generators"]]
+        order, gens = data["order"], data["generators"]
+        if type(order) is not int:
+            raise ValueError(f"order must be an integer, got {json.dumps(order)}")
+        if not isinstance(gens, list) or not all(
+            isinstance(g, list) and all(type(e) is int for e in g) for g in gens
+        ):
+            raise ValueError(
+                f"generators must be a list of integer lists, got {json.dumps(gens)}"
+            )
         if not gens:
             raise ValueError("need at least one generator vector")
-        return DiagonalGroupAction(int(data["order"]), tuple(gens), len(gens[0]))
+        return DiagonalGroupAction(order, tuple(map(tuple, gens)), len(gens[0]))
     parts = text.split(":")
     if len(parts) != 3 or parts[0] != "cyclic":
         raise ValueError(

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from dxext.cli import build_parser, main
+from dxext.verify import CheckResult
 
 
 def run(capsys, *argv):
@@ -210,6 +211,13 @@ def test_curve_predict_missing_file_is_usage_error(tmp_path, capsys):
     assert len(usage) == 1 and str(missing) in usage[0]
 
 
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("usage error")]) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("ext-module", "--f", "x", "--model", "delta:0", "--max-deg", "2"),
     ("ext-module", "--f", "x", "--model", "free:0", "--max-deg", "2"),
@@ -217,13 +225,56 @@ def test_curve_predict_missing_file_is_usage_error(tmp_path, capsys):
     ("ext-module", "--f", "x*y", "--model", "nlines-ic:-1", "--max-deg", "2"),
     ("ext-module", "--f", "x*y", "--model", "nlines-ic:0", "--max-deg", "2"),
     ("ext-module", "--f", "x*y", "--model", "kummer:0:1/2", "--max-deg", "2"),
-], ids=["delta-0", "free-0", "character-length", "nlines-minus-1", "nlines-0", "kummer-0"])
+    ("act", "--f", "x*y", "--alpha", "x*dx", "--model", "delta:2", "--element", "1,0=1/0"),
+    ("ext-self", "--f", "(" * 3000 + "x" + ")" * 3000, "--max-deg", "1"),
+    ("curve-predict", "--curve", "[" * 100000),
+], ids=["delta-0", "free-0", "character-length", "nlines-minus-1", "nlines-0", "kummer-0",
+        "element-zero-denominator", "f-nested-too-deep", "curve-nested-too-deep"])
 def test_bad_model_or_character_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if line.startswith("usage error")]) == 1
+    assert_usage_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("group", [
+    '{"order":2,"generators":[1]}',
+    '{"order":null,"generators":[[1]]}',
+    '{"order":2,"generators":5}',
+    '{"order":2,"generators":[[null]]}',
+    '{"order":2.5,"generators":[[1]]}',
+    '{"order":true,"generators":[[1]]}',
+], ids=["flat-generators", "null-order", "scalar-generators", "null-entry",
+        "float-order", "bool-order"])
+def test_malformed_group_json_is_usage_error(capsys, group):
+    assert_usage_error(*run(
+        capsys, "quotient-isotypic", "--group", group, "--character", "chi:1",
+        "--max-deg", "2",
+    ))
+
+
+def curve_json(points, local):
+    return json.dumps({"points": points, "localSystem": local})
+
+
+SUPPORTED = {"pointSupported": True}
+
+
+@pytest.mark.parametrize("curve,field", [
+    (curve_json([5], SUPPORTED), "points[0]"),
+    (curve_json(5, SUPPORTED), "points"),
+    (curve_json([{"kind": "cusp"}], {"pointSupported": False, "eigenvalues": 5}),
+     "localSystem.eigenvalues"),
+    (curve_json([{"kind": "cusp"}], {"pointSupported": False, "eigenvalues": [[5]]}),
+     "localSystem.eigenvalues[0][0]"),
+    (curve_json([{"kind": "multicross", "branches": None}], SUPPORTED),
+     "points[0].branches"),
+    (curve_json([{"kind": "multicross"}], SUPPORTED), "points[0].branches"),
+    (curve_json([{"kind": "cusp"}], {"pointSupported": "false"}),
+     "localSystem.pointSupported"),
+], ids=["point-not-object", "points-not-list", "eigenvalues-not-list",
+        "branch-not-list", "null-branches", "missing-branches", "string-flag"])
+def test_malformed_curve_json_is_usage_error(capsys, curve, field):
+    code, out, err = run(capsys, "curve-predict", "--curve", curve)
+    assert_usage_error(code, out, err)
+    assert f": {field} must be" in err
 
 
 @pytest.mark.parametrize("on", ["ext0", "ext1"])
@@ -322,6 +373,14 @@ def test_verify_node_suite(capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    failing = [CheckResult("always fails", False, "forced", 0.0)]
+    monkeypatch.setattr("dxext.cli.run_suite", lambda name: failing)
+    code, out, _ = run(capsys, "verify", "node")
+    assert code == 1
+    assert out == "FAIL  always fails: forced\nFAILURES PRESENT\n"
 
 
 def test_verify_unknown_suite(capsys):
