@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .curves import CurveSpec, cross_check, predict
+from .curves import CurveSpec, cross_check, crosscheck_model, predict
 from .hyperext import (
     DEFAULT_WINDOW,
     NoTwistSolution,
@@ -31,7 +31,7 @@ from .hyperext import (
     ext_module_dims,
     solve_twist,
 )
-from .models import parse_model
+from .models import label_ints, parse_model
 from .parser import parse
 from .quotients import (
     hypersurface_cech_dims,
@@ -95,12 +95,12 @@ def _get_character(text, group):
 def _combination_from_text(text, module):
     """Parse `l1,l2=coeff; ...` into a module combination.
 
-    Labels are comma-separated integers: the flat label for the delta,
-    n-lines, and Kummer models; x-exponents then d-exponents for the
-    free and quotient models.  A label outside the model's basis, or a
-    coefficient with a zero denominator, is a ValueError naming it.
+    Labels are comma-separated integers, read by the model's label():
+    the flat label for the delta, n-lines, and Kummer models;
+    x-exponents then d-exponents for the free and quotient models.  A
+    label outside the model's basis, or a coefficient with a zero
+    denominator, is a ValueError naming it.
     """
-    nested = module.name.startswith(("free:", "dx:"))
     comb = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -116,42 +116,18 @@ def _combination_from_text(text, module):
                 ) from None
         else:
             label_text, coeff = chunk, Fraction(1)
-        ints = tuple(int(v) for v in label_text.split(","))
-        if nested:
-            if len(ints) != 2 * module.n:
-                raise ValueError(
-                    f"label {label_text!r} needs {2 * module.n} integers"
-                )
-            label = (ints[: module.n], ints[module.n:])
-        else:
-            label = ints
-        if not _is_basis_label(module, label):
+        label = module.label(tuple(int(v) for v in label_text.split(",")))
+        if label is None:
             raise ValueError(f"label {label_text.strip()!r} is not in the basis of {module.name}")
         comb[label] = comb.get(label, Fraction(0)) + coeff
     return {k: v for k, v in comb.items() if v}
 
 
-def _is_basis_label(module, label):
-    """Whether label is one of the module's basis labels, without listing them."""
-    kind = module.name.split(":")[0]
-    if kind in ("free", "dx"):
-        return min(label[0] + label[1]) >= 0 and (kind == "free" or module.is_standard(label))
-    size = module.n if kind == "delta" else 2
-    # the Kummer label (k, j) is e_k tensor dy^j with k in Z
-    return len(label) == size and min(label[kind == "kummer":]) >= 0
-
-
 def _combination_to_jsonable(comb):
-    terms = []
-    for label, coeff in sorted(comb.items(), key=lambda kv: repr(kv[0])):
-        flat = []
-        for part in label:
-            if isinstance(part, tuple):
-                flat.extend(int(v) for v in part)
-            else:
-                flat.append(int(part))
-        terms.append({"label": flat, "coeff": str(coeff)})
-    return terms
+    return [
+        {"label": label_ints(label), "coeff": str(coeff)}
+        for label, coeff in sorted(comb.items(), key=lambda kv: repr(kv[0]))
+    ]
 
 
 def _combination_to_text(comb):
@@ -391,7 +367,8 @@ def cmd_curve_predict(args):
 
 
 def cmd_curve_crosscheck(args):
-    report = cross_check(args.n, args.model, args.max_deg)
+    model = _read("model", args.model, crosscheck_model)
+    report = cross_check(args.n, model, args.max_deg)
     return Rendered(
         "curve-crosscheck", {"n": args.n, "model": report.model, "maxDeg": args.max_deg},
         report.to_json_dict(), report.to_text(), shown=(), csv=report.ext1.to_csv(),

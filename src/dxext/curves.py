@@ -48,6 +48,7 @@ __all__ = [
     "planar_model",
     "CrossCheckReport",
     "cross_check",
+    "crosscheck_model",
 ]
 
 VANISHES = "Vanishes"
@@ -57,23 +58,17 @@ UNDETERMINED = "Undetermined"
 
 @dataclass(frozen=True)
 class Eigenvalue:
-    """A monodromy eigenvalue, reduced to the tag that matters: unity or not.
-
-    ``description`` is a free-form annotation for non-unity eigenvalues
-    (for example "e^{pi i}"); it is not serialized and does not
-    participate in equality.
-    """
+    """A monodromy eigenvalue, reduced to the tag that matters: unity or not."""
 
     is_unity: bool
-    description: str = field(default="", compare=False)
 
     @classmethod
     def unity(cls):
         return cls(True)
 
     @classmethod
-    def non_unity(cls, description=""):
-        return cls(False, description)
+    def non_unity(cls):
+        return cls(False)
 
     def to_json_value(self):
         return "unity" if self.is_unity else "nonunity"
@@ -350,32 +345,35 @@ def planar_model(n):
     return f
 
 
-def _model_setup(n, model_id):
-    """Module instance plus matching local-system data for a model id."""
-    point = CurvePoint.multicross(n)
-    if model_id in ("trivial", "nlines-ic"):
-        module = LineICModule(n)
-        branches = tuple((Eigenvalue.unity(),) for _ in range(n))
-        spec = LocalSystemSpec((branches,), False)
-        return "trivial", module, spec
-    if model_id.startswith("kummer"):
-        parts = model_id.split(":")
-        if len(parts) != 2:
-            raise ValueError(
-                "kummer model needs an exponent, like kummer:1/2"
-            )
-        lam = Fraction(parts[1])
-        module = KummerICModule(lam, n)
-        branches = tuple(
-            (Eigenvalue.non_unity(f"e^(2*pi*i*{lam})"),) for _ in range(n)
-        )
-        spec = LocalSystemSpec((branches,), False)
-        return f"kummer:{lam}", module, spec
-    if model_id == "delta":
-        module = DeltaModule(2)
-        spec = LocalSystemSpec((), True)
-        return "delta", module, spec
-    raise ValueError(f"unknown model {model_id!r}")
+def crosscheck_model(model_id):
+    """The canonical form of a cross-check model id.
+
+    That is "trivial" (also spelled "nlines-ic"), "delta", or
+    "kummer:<lam>" with lam a non-integer rational, as KummerICModule
+    requires.  Any other id is a ValueError.
+    """
+    if model_id in ("trivial", "nlines-ic", "delta"):
+        return "delta" if model_id == "delta" else "trivial"
+    kind, _, text = model_id.partition(":")
+    if kind != "kummer" or not text:
+        raise ValueError(f"unknown model {model_id!r}; use trivial, delta or kummer:<lam>")
+    try:
+        return f"kummer:{KummerICModule(Fraction(text)).lam}"
+    except ZeroDivisionError:
+        raise ValueError(f"kummer exponent {text!r} has a zero denominator") from None
+
+
+def _model_setup(n, model):
+    """Module instance plus matching local-system data for a canonical model id."""
+    if model == "delta":
+        return DeltaModule(2), LocalSystemSpec((), True)
+    if model == "trivial":
+        module, eigenvalue = LineICModule(n), Eigenvalue.unity()
+    else:
+        lam = Fraction(model.partition(":")[2])
+        module, eigenvalue = KummerICModule(lam, n), Eigenvalue.non_unity()
+    branches = tuple((eigenvalue,) for _ in range(n))
+    return module, LocalSystemSpec((branches,), False)
 
 
 @dataclass(frozen=True)
@@ -427,7 +425,8 @@ def cross_check(n, model_id, max_deg=6):
     if n < 2:
         raise ValueError("cross-check needs a multicross point, so n >= 2")
     f = planar_model(n)
-    model, module, spec = _model_setup(n, model_id)
+    model = crosscheck_model(model_id)
+    module, spec = _model_setup(n, model)
     prediction = predict([CurvePoint.multicross(n)], spec, simple=True)
     _, ext1 = ext_module_dims(module, f, max_deg)
     nonzero = any(ext1.dims())

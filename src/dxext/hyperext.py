@@ -42,20 +42,25 @@ with no x factor, and every label when the divisor has a d part, take
 the full product g*f.  The engine adds rows one whole label degree at
 a time and keeps only the last degree's rows for the next.
 
-When the divisor is a polynomial and lm(divisor) misses a variable
-x_i, the engine goes one step further and shifts its echelon rows.
-Left multiplication by x_i then maps standard monomials to standard
-monomials, so x_i*NF(h) = NF(x_i*h) with no division at all.  With S_w
-the span after label degree w,
+When the model has a shift, the engine goes one step further and
+shifts its echelon rows.  A shift s is the label map of a one-to-one
+linear map of the module that raises the degree by one and commutes
+with right multiplication by f, so s(v*f) = s(v)*f: s maps rows to rows.
+With S_w the span after label degree w, and L_w the degree-w labels
+that are not s of a degree w-1 label,
 
-  S_w = S_(w-1) + x_i*S_(w-1) + span{rows of degree-w labels without x_i},
+  S_w = S_(w-1) + s(S_(w-1)) + span{rows of the labels in L_w},
 
-and since x_i*S_(w-2) lies in S_(w-1), x_i*S_(w-1) is spanned modulo
-S_(w-1) by x_i*r for the echelon rows r stored during degree w-1.  Each
-x_i*r is a re-indexing of r's columns, so it is already a primitive
+and since s(S_(w-2)) lies in S_(w-1), s(S_(w-1)) is spanned modulo
+S_(w-1) by s(r) for the echelon rows r stored during degree w-1.  Each
+s(r) is a re-indexing of r's columns, so it is already a primitive
 integer row and enters the echelon without re-normalising.  The spans
 agree at every whole width, so level dims, ranks and reduced
 representatives do too; only the vectors fed to the echelon change.
+When the divisor of D/fD is a polynomial whose lm misses a variable
+x_i, s is left multiplication by x_i: it maps standard monomials to
+standard monomials, so x_i*NF(h) = NF(x_i*h) with no division at all,
+and L_w holds the degree-w labels without x_i.
 
 For one-sided questions exactness is free: v*f is nonzero of degree
 deg v + deg f whenever v is nonzero (degree additivity in a domain),
@@ -125,7 +130,7 @@ class ModuleIndex:
         self._labels = []
         self._pos = {}
         self._through = []  # label count through each degree
-        self._shift = {}  # {i: [column of x_i*label for each column]}
+        self._shift = []  # column of module.shift(label) for each column
 
     def extend_to(self, degree):
         for d in range(len(self._through), degree + 1):
@@ -155,18 +160,24 @@ class ModuleIndex:
     def combination(self, vec):
         return {self._labels[i]: c for i, c in vec.items()}
 
-    def shifted(self, vec, i):
-        """vec with every label x^a d^b replaced by x_i*x^a d^b.
+    def shifted(self, vec):
+        """vec with every label replaced by module.shift(label).
 
-        For monomial labels whose module maps x_i*label into its basis;
-        the column map is cached and extended on demand.
+        The column map is cached and extended on demand.
         """
-        cols = self._shift.setdefault(i, [])
+        cols = self._shift
         top = max(vec)
         while len(cols) <= top:
-            xexp, dexp = self._labels[len(cols)]
-            cols.append(self.position((xexp[:i] + (xexp[i] + 1,) + xexp[i + 1:], dexp)))
+            cols.append(self.position(self.module.shift(self._labels[len(cols)])))
         return {cols[c]: v for c, v in vec.items()}
+
+    def unshifted_labels(self, d):
+        """The labels of degree d that are not module.shift(v) for a label
+        v of degree d - 1, found through the cached column map."""
+        labels = self.labels_of_degree(d)
+        lower, first = (self._through[d - 2] if d > 1 else 0), (self._through[d - 1] if d else 0)
+        image = self.shifted(dict.fromkeys(range(lower, first))) if lower < first else {}
+        return [lab for k, lab in enumerate(labels, first) if k not in image]
 
 
 class CokernelEngine:
@@ -181,13 +192,13 @@ class CokernelEngine:
     degree-m prefix, at every widening stage, from one shared
     elimination.
 
-    When the module names a free_x (D/fD with f a polynomial whose lm
-    misses x_i), a degree w first inserts x_i*r for every echelon row r
-    stored during degree w-1, then the rows of the degree-w labels
-    without x_i; the labels with x_i are spanned by the shifted rows
-    (see the module docstring).  stored holds the echelon's own dicts,
-    and rows only the raw rows of the labels without x_i.  A stored row
-    is primitive, and so is its shift, so the shifted rows are added
+    When the module has a shift s, a degree w first inserts s(r) for
+    every echelon row r stored during degree w-1, then the rows of the
+    degree-w labels that are not s(v) for a label v of degree w-1; the
+    rows of the labels s(v) are spanned by the shifted rows (see the
+    module docstring).  stored holds the rows the echelon kept, and rows
+    only the raw rows of the labels outside the image of s.  A stored
+    row is primitive, and so is its shift, so the shifted rows are added
     with is_primitive and skip linalg.primitive.
     """
 
@@ -203,28 +214,28 @@ class CokernelEngine:
             self.row = lambda lab, previous: act_word(module, {lab: Fraction(1)}, f)
         else:
             self.row = lambda lab, previous: row(lab, f, previous)
-        self.free_x = getattr(module, "free_x", None)
+        self.shifts = hasattr(module, "shift")
         self.rows = {}  # {label: row} built by the row kernel in the last label degree
         self.stored = []  # echelon rows stored during the last label degree
         self.width = -1
 
     def widen_to(self, width):
-        i = self.free_x
+        add = self.echelon.add
         while self.width < width:
             self.width += 1
             previous, self.rows = self.rows, {}
-            shifted, self.stored = self.stored, []
-            labels = self.index.labels_of_degree(self.width)
-            if i is not None:
-                for row in shifted:
-                    self.echelon.add(self.index.shifted(row, i), self.stored, is_primitive=True)
-                labels = [lab for lab in labels if not lab[0][i]]
+            if self.shifts:
+                stored = [add(self.index.shifted(row), is_primitive=True) for row in self.stored]
+                labels = self.index.unshifted_labels(self.width)
+            else:
+                stored, labels = [], self.index.labels_of_degree(self.width)
             for lab in labels:
                 vec = self.index.vector(self.row(lab, previous))
-                self.echelon.add(vec, self.stored)
+                stored.append(add(vec))
                 # keyed by the index's own label objects, so the rows held
                 # for the next degree allocate no monomials of their own
                 self.rows[lab] = self.index.combination(vec)
+            self.stored = [row for row in stored if row is not None]
 
     def level_dims(self, max_deg):
         out = []

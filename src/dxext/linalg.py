@@ -9,13 +9,6 @@ column of the row, which makes prefix queries exact: with columns
 enumerated degree by degree, the number of rows whose pivot falls
 inside the first k columns equals the dimension of the intersection of
 the span with that coordinate prefix.
-
-A vector enters as its primitive form, except where the caller says it
-already is one (is_primitive).  CokernelEngine does so for the shifted
-copies of its stored rows: a stored row is a primitive integer row, and
-shifting only renames its columns, so primitive() would return it
-unchanged.  The residual, the stored row and every answer are the same
-either way.
 """
 
 from __future__ import annotations
@@ -91,24 +84,22 @@ class SparseEchelon:
                     work = {c: v // g for c, v in work.items()}
         return {}
 
-    def add(self, vec, stored=None, *, is_primitive=False):
-        """Insert a vector; True when it enlarged the span.
+    def add(self, vec, *, is_primitive=False):
+        """Insert a vector; the row stored for it when it enlarged the
+        span, else None.
 
-        When stored is a list, the row kept for vec is appended to it:
-        the echelon's own dict, which it never changes afterwards.
-        is_primitive is passed on to residual.
+        The row is the echelon's own dict, which it never changes
+        afterwards.  is_primitive is passed on to residual.
         """
         r = self.residual(vec, is_primitive=is_primitive)
         if not r:
-            return False
+            return None
         p = max(r)
         if r[p] < 0:
             r = {c: -v for c, v in r.items()}
         self.rows[p] = r
         insort(self._pivots, p)
-        if stored is not None:
-            stored.append(r)
-        return True
+        return r
 
     def contains(self, vec):
         return not self.residual(vec)

@@ -17,10 +17,17 @@ The model protocol, read by ModuleIndex, the engine and the CLI:
   mf_level_bound(f, m)   a label degree N such that the rows v*f with
                          deg v <= N span M*f meet F_m, or None when the
                          model has no such bound
+  label(ints)            the label written as the flat integers that
+                         label_ints gives, or None when those integers
+                         name no basis label
+  shift(label)           optional: the label map of a one-to-one linear
+                         map of the module that raises the degree by one
+                         and commutes with right multiplication by every
+                         polynomial; the engine widens through it
 
 DXQuotientModule adds row(label, elem, previous=None), the integer row
-the engine eliminates, and free_x, the variable whose echelon rows the
-engine shifts (see its docstring).
+the engine eliminates, and has a shift when its divisor is a polynomial
+whose lm misses some x_i (see its docstring).
 
 Shipped models:
 
@@ -43,6 +50,7 @@ holds on the right, which check_module_axioms verifies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,6 +71,7 @@ __all__ = [
     "act_word",
     "basis",
     "check_module_axioms",
+    "label_ints",
     "parse_model",
 ]
 
@@ -80,6 +89,16 @@ def _merge(acc, comb, c=1):
 def basis(module, deg_bound):
     """The labels of degree <= deg_bound, degree by degree."""
     return [label for d in range(deg_bound + 1) for label in module.labels(d)]
+
+
+def label_ints(label):
+    """A label as flat integers: its parts in order, each tuple spliced in."""
+    return [int(v) for part in label for v in (part if isinstance(part, tuple) else (part,))]
+
+
+def _monomial_label(ints, n):
+    """The Weyl monomial label (xexp, dexp) read from 2n integers >= 0, else None."""
+    return (tuple(ints[:n]), tuple(ints[n:])) if len(ints) == 2 * n and min(ints) >= 0 else None
 
 
 def act_combination(module, comb, gen):
@@ -175,6 +194,9 @@ class FreeWeylModule:
     def degree(self, label):
         return sum(label[0]) + sum(label[1])
 
+    def label(self, ints):
+        return _monomial_label(ints, self.n)
+
     def act(self, label, gen):
         xexp, dexp = label
         kind, i = gen
@@ -213,6 +235,9 @@ class DeltaModule:
     def degree(self, label):
         return sum(label)
 
+    def label(self, ints):
+        return tuple(ints) if len(ints) == self.n and min(ints) >= 0 else None
+
     def act(self, label, gen):
         kind, i = gen
         exp = list(label)
@@ -240,8 +265,8 @@ def _homogeneous_mf_level_bound(f, level):
     below v's top (through f's lowest y-power monomial, with leading
     coefficient a nonzero falling factorial).  That triangularity
     forces any member of M*f lying in filtration level m to be a
-    combination of v*f with deg v <= m + s; see the self-Ext engine
-    notes for why no such bound exists in the two-sided case.
+    combination of v*f with deg v <= m + s; see the hyperext module
+    docstring for why no such bound exists in the two-sided case.
     """
     if not f.is_polynomial:
         return None
@@ -266,6 +291,9 @@ class LineICModule:
 
     def degree(self, label):
         return label[0] + label[1]
+
+    def label(self, ints):
+        return tuple(ints) if len(ints) == 2 and min(ints) >= 0 else None
 
     def act(self, label, gen):
         i, j = label
@@ -311,6 +339,10 @@ class KummerICModule:
     def degree(self, label):
         return abs(label[0]) + label[1]
 
+    def label(self, ints):
+        # k in Z, only the dy exponent j is bounded below
+        return tuple(ints) if len(ints) == 2 and ints[1] >= 0 else None
+
     def act(self, label, gen):
         k, j = label
         kind, idx = gen
@@ -355,13 +387,12 @@ class DXQuotientModule:
     row is already reduced.  Only labels with no x factor, and every
     label when f has a d part, take the full product label*elem.
 
-    free_x is the first i with x_i missing from lm(f) when f is a
-    polynomial, else None.  Left multiplication by that x_i maps
-    standard monomials to standard monomials (lm(f) divides x_i*m only
-    if it divides m), so x_i*NF(h) = NF(x_i*h): x_i times any
-    combination of rows of labels of degree <= w is, with no division,
-    a combination of rows of labels of degree <= w + 1.  CokernelEngine
-    uses it to widen from its stored echelon rows.
+    shift exists when f is a polynomial and lm(f) misses some x_i: it
+    is left multiplication by the first such x_i.  That maps standard
+    monomials to standard monomials (lm(f) divides x_i*m only if it
+    divides m), so x_i*NF(h) = NF(x_i*h), and it commutes with right
+    multiplication because f commutes with x_i.  CokernelEngine widens
+    through it from its stored echelon rows.
     """
 
     def __init__(self, f):
@@ -374,9 +405,8 @@ class DXQuotientModule:
         lead_x, lead_d = max(f.terms, key=graded_key)
         self._lead = lead_x + lead_d
         self._polynomial = f.is_polynomial
-        self.free_x = None
-        if self._polynomial:
-            self.free_x = next((i for i, a in enumerate(lead_x) if not a), None)
+        if self._polynomial and 0 in lead_x:
+            self.shift = functools.partial(_times_x, lead_x.index(0))
 
     def labels(self, d):
         n, lead, last = self.n, self._lead, 2 * self.n - 1
@@ -404,8 +434,9 @@ class DXQuotientModule:
     def degree(self, label):
         return sum(label[0]) + sum(label[1])
 
-    def is_standard(self, label):
-        return any(map(lt, label[0] + label[1], self._lead))
+    def label(self, ints):
+        label = _monomial_label(ints, self.n)
+        return label if label and any(map(lt, ints, self._lead)) else None
 
     def reduce_element(self, elem):
         """Canonical representative of elem modulo fD as a combination."""
@@ -444,6 +475,12 @@ class DXQuotientModule:
 
     def mf_level_bound(self, f, level):
         return None  # no a-priori bound for sums v*f + f*h in the quotient
+
+
+def _times_x(i, label):
+    """x_i times the monomial label (xexp, dexp)."""
+    xexp, dexp = label
+    return xexp[:i] + (xexp[i] + 1,) + xexp[i + 1:], dexp
 
 
 def parse_model(text):

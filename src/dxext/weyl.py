@@ -294,8 +294,21 @@ class WeylElement:
         return NotImplemented
 
     def __pow__(self, k):
+        """self^k.
+
+        A single term with no d, c*x^a, has the power c^k*x^(k*a), and
+        one with no x likewise, so any exponent costs no product.  Any
+        other element is multiplied by self k times: its powers grow
+        under normal ordering (or are dense polynomials), and there a
+        product by the short factor costs less than squaring the long
+        power, as square-and-multiply would.
+        """
         if k < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1 and not all(map(any, next(iter(self.terms)))):
+            ((xexp, dexp), c), = self.terms.items()
+            power = [k * e for e in xexp], [k * e for e in dexp]
+            return WeylElement.monomial(self.n, *power, c ** k)
         out = WeylElement.one(self.n)
         for _ in range(k):
             out = out * self

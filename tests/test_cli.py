@@ -228,8 +228,14 @@ def assert_usage_error(code, out, err):
     ("act", "--f", "x*y", "--alpha", "x*dx", "--model", "delta:2", "--element", "1,0=1/0"),
     ("ext-self", "--f", "(" * 3000 + "x" + ")" * 3000, "--max-deg", "1"),
     ("curve-predict", "--curve", "[" * 100000),
+    ("curve-crosscheck", "--n", "2", "--model", "nope"),
+    ("curve-crosscheck", "--n", "2", "--model", "kummer:x"),
+    ("curve-crosscheck", "--n", "2", "--model", "kummer:1/0"),
+    ("curve-crosscheck", "--n", "2", "--model", "kummer:1"),
 ], ids=["delta-0", "free-0", "character-length", "nlines-minus-1", "nlines-0", "kummer-0",
-        "element-zero-denominator", "f-nested-too-deep", "curve-nested-too-deep"])
+        "element-zero-denominator", "f-nested-too-deep", "curve-nested-too-deep",
+        "crosscheck-unknown-model", "crosscheck-kummer-not-a-number",
+        "crosscheck-kummer-zero-denominator", "crosscheck-kummer-integer"])
 def test_bad_model_or_character_is_usage_error(capsys, argv):
     assert_usage_error(*run(capsys, *argv))
 

@@ -90,6 +90,12 @@ CASES = [
     ["quotient-cech", "--group", "cyclic:2:1,1", "--character", "chi:0,0", "--max-deg", "4"],
     ["quotient-cech", "--group", "cyclic:3", "--character", "chi:0"],  # usage error
     ["verify", "node"],
+    # usage errors: malformed crosscheck model ids, a label of the wrong length
+    ["curve-crosscheck", "--n", "2", "--model", "nope"],
+    ["curve-crosscheck", "--n", "2", "--model", "kummer:x"],
+    ["curve-crosscheck", "--n", "2", "--model", "kummer:1/0"],
+    ["curve-crosscheck", "--n", "2", "--model", "kummer:1"],
+    ["act", "--f", "x*y", "--alpha", "x dx", "--model", "dx:x*y", "--element", "1,2=1"],
 ]
 
 

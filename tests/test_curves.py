@@ -132,7 +132,7 @@ def test_curve_spec_json_roundtrip():
     spec = CurveSpec(
         points=(CurvePoint.cusp("origin"), CurvePoint.multicross(3)),
         local_system=LocalSystemSpec(
-            per_branch_eigenvalues=(((U(),),), ((NU("zeta"),), (U(),), (NU(),))),
+            per_branch_eigenvalues=(((U(),),), ((NU(),), (U(),), (NU(),))),
             point_supported=False,
         ),
     )
@@ -184,6 +184,10 @@ def test_cross_check_agreement_small():
 def test_cross_check_rejects_single_branch():
     with pytest.raises(ValueError):
         cross_check(1, "trivial")
+    # malformed model ids, each rejected before any computation
+    for model in ("nope", "kummer", "kummer:x", "kummer:1/0", "kummer:1", "kummerx:1/2"):
+        with pytest.raises(ValueError):
+            cross_check(2, model)
 
 
 def test_cross_check_report_serialization():

@@ -52,12 +52,15 @@ def test_span_dim_matches_dense_oracle():
 
 
 def test_echelon_add_reports_rank_growth():
+    # add returns the echelon's own stored row, or None when the span
+    # did not grow
     ech = SparseEchelon()
-    assert ech.add({0: Fraction(1)}) is True
-    assert ech.add({0: Fraction(5)}) is False
-    assert ech.add({0: Fraction(1), 1: Fraction(1)}) is True
-    assert ech.add({1: Fraction(-2)}) is False
-    assert ech.rank == 2
+    assert ech.add({0: Fraction(1)}) == {0: 1}
+    assert ech.add({0: Fraction(5)}) is None
+    assert ech.add({0: Fraction(1), 1: Fraction(1)}) is ech.rows[1]
+    assert ech.add({1: Fraction(-2)}) is None
+    assert ech.add({2: Fraction(-3), 0: Fraction(6)}) == {0: -2, 2: 1} == ech.rows[2]
+    assert ech.rank == 3
 
 
 def test_contains_and_residual():

@@ -19,6 +19,7 @@ from dxext.models import (
     act_word,
     basis,
     check_module_axioms,
+    label_ints,
 )
 from dxext.parser import parse
 from dxext.weyl import WeylElement, divide_left, graded_key
@@ -64,6 +65,34 @@ def test_labels_by_degree(module):
         seen.update(labels)
         concatenated += labels
     assert basis(module, 6) == concatenated
+
+
+@pytest.mark.parametrize("module", label_models(), ids=lambda m: m.name)
+def test_label_reads_flat_ints(module):
+    # the act --element integers of every basis label read back as it
+    for label in basis(module, 4):
+        assert module.label(label_ints(label)) == label
+        assert module.label(tuple(label_ints(label))) == label
+
+
+@pytest.mark.parametrize("module", label_models(), ids=lambda m: m.name)
+def test_label_rejects_ints_outside_the_basis(module):
+    ints = label_ints(basis(module, 2)[-1])
+    assert module.label(ints + [0]) is None
+    assert module.label(ints[:-1]) is None
+    # the last integer is an exponent in every model (dy's on Kummer)
+    assert module.label(ints[:-1] + [-1]) is None
+
+
+def test_label_rejects_non_standard_monomials():
+    assert DXQuotientModule(parse("x*y")).label([1, 1, 0, 0]) is None
+    assert DXQuotientModule(parse("y^2 - x^3")).label([3, 1, 0, 2]) is None
+    assert DXQuotientModule(parse("x + dx")).label([1, 0]) is None
+    assert DXQuotientModule(parse("x*y*z")).label([1, 1, 1, 0, 0, 0]) is None
+    assert DXQuotientModule(parse("x*y")).label([-1, 0, 0, 0]) is None
+    # Kummer's e_k runs over all of Z; only dy's exponent is bounded
+    assert KummerICModule(Fraction(1, 2)).label([-3, 0]) == (-3, 0)
+    assert KummerICModule(Fraction(1, 2)).label([0, -1]) is None
 
 
 @pytest.mark.parametrize("module", label_models() + [DeltaModule(1)], ids=lambda m: m.name)
@@ -301,16 +330,18 @@ def test_engine_rows_match_full_product(divisor, text):
     # Span oracle: at every width through 5 the engine's echelon spans
     # what a fresh echelon of row(label, f) over every label through
     # that width spans, read as rank, pivot set and level dims.  Only
-    # the labels without the free x get rows of their own.
+    # the labels outside the image of the model's shift get rows of their
+    # own.
     f = parse(text)
     module = DXQuotientModule(parse(divisor, f.n))
     engine = CokernelEngine(module, f)
     oracle = SparseEchelon()
-    i = module.free_x
+    shift = getattr(module, "shift", None)
     for width in range(6):
         engine.widen_to(width)
         labels = engine.index.labels_of_degree(width)
-        assert list(engine.rows) == [lab for lab in labels if i is None or not lab[0][i]]
+        image = {shift(lab) for lab in module.labels(width - 1)} if shift else set()
+        assert list(engine.rows) == [lab for lab in labels if lab not in image]
         for label in labels:
             oracle.add(engine.index.vector(module.row(label, f)))
         assert engine.echelon.rank == oracle.rank
@@ -322,12 +353,33 @@ def test_engine_rows_match_full_product(divisor, text):
         assert engine.level_dims(width) == dims
 
 
-def test_free_x_only_for_polynomial_divisors():
+def test_shift_only_for_polynomial_divisors():
     # the shifted-row path needs an x_i that lm(f) lacks and commutes with f
-    assert DXQuotientModule(parse("y^2 - x^3")).free_x == 1
-    assert DXQuotientModule(parse("x^3 + y^4")).free_x == 0
+    assert DXQuotientModule(parse("y^2 - x^3")).shift(((1, 0), (0, 2))) == ((1, 1), (0, 2))
+    assert DXQuotientModule(parse("x^3 + y^4")).shift(((0, 1), (1, 0))) == ((1, 1), (1, 0))
     for text in ("x*y", "x*y*(x - y)", "x*y*z", "x*y + dx", "x + dx", "x^2 + dy"):
-        assert DXQuotientModule(parse(text)).free_x is None, text
+        assert not hasattr(DXQuotientModule(parse(text)), "shift"), text
+    shifting = [
+        m.name for m in label_models() if isinstance(m, DXQuotientModule) and hasattr(m, "shift")
+    ]
+    assert shifting == [f"dx:{parse('y^2 - x^3')}"]
+
+
+SHIFT_MODELS = [
+    DXQuotientModule(parse(text)) for text in ("y^2 - x^3", "x^3 + y^4", "y^2 - x^5", "x^2*y + z")
+]
+
+
+@pytest.mark.parametrize("module", SHIFT_MODELS, ids=lambda m: m.name)
+def test_shift_maps_labels_into_next_degree(module):
+    # one-to-one from labels(d) into labels(d + 1), onto the labels
+    # with a positive exponent of the x_i that shift(1) names
+    one = module.labels(0)[0]
+    i = label_ints(module.shift(one)).index(1)
+    for d in range(6):
+        image = [module.shift(label) for label in module.labels(d)]
+        assert len(set(image)) == len(image)
+        assert set(image) == {lab for lab in module.labels(d + 1) if lab[0][i]}
 
 
 def _weyl_elements(n, max_terms):

@@ -183,3 +183,28 @@ def test_str_roundtrip_through_parser():
         if e.is_zero:
             continue
         assert parse(str(e), n) == e
+
+
+def test_power_of_one_term_needs_no_products(monkeypatch):
+    # powers against repeated products, then x^(2^40) within 64
+    # products: a loop of k multiplications would need 2^40 of them.
+    from dxext import weyl
+    from dxext.parser import parse
+
+    for text in ("x + dx", "x*dx", "-2/3*x*y^2", "3*dx^2*dy", "x - y"):
+        e = parse(text, 2)
+        repeated = WeylElement.one(2)
+        for k in range(7):
+            assert e ** k == repeated, (text, k)
+            repeated = repeated * e
+    calls = []
+    real = weyl.mul_terms
+
+    def counting(a, b, n):
+        calls.append(1)
+        if len(calls) > 64:
+            raise AssertionError("more than 64 products for one power")
+        return real(a, b, n)
+
+    monkeypatch.setattr(weyl, "mul_terms", counting)
+    assert parse("x", 1) ** (2 ** 40) == WeylElement.monomial(1, (2 ** 40,), (0,))
