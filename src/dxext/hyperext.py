@@ -44,8 +44,9 @@ a time and keeps only the last degree's rows for the next.
 
 When the model has a shift, the engine goes one step further and
 shifts its echelon rows.  A shift s is the label map of a one-to-one
-linear map of the module that raises the degree by one and commutes
-with right multiplication by f, so s(v*f) = s(v)*f: s maps rows to rows.
+linear map of the module that takes each label to one label, raises
+the degree by at most one and commutes with right multiplication by f,
+so s(v*f) = s(v)*f: s maps rows to rows, and s(S_(w-1)) lies in S_w.
 With S_w the span after label degree w, and L_w the degree-w labels
 that are not s of a degree w-1 label,
 
@@ -60,7 +61,12 @@ representatives do too; only the vectors fed to the echelon change.
 When the divisor of D/fD is a polynomial whose lm misses a variable
 x_i, s is left multiplication by x_i: it maps standard monomials to
 standard monomials, so x_i*NF(h) = NF(x_i*h) with no division at all,
-and L_w holds the degree-w labels without x_i.
+and L_w holds the degree-w labels without x_i.  On the free module s
+is left multiplication by x (L_w: the monomials without x).  On the
+line models s is the right action of x: (i, j) -> (i+1, j), one label
+per degree in L_w, and on the Kummer model (k, j) -> (k+1, j), which
+lowers the degree for k < 0; those labels are not images of a lower
+degree, so L_w holds every label with k <= 0.
 
 For one-sided questions exactness is free: v*f is nonzero of degree
 deg v + deg f whenever v is nonzero (degree additivity in a domain),
@@ -192,8 +198,10 @@ class CokernelEngine:
     degree-m prefix, at every widening stage, from one shared
     elimination.
 
-    When the module has a shift s, a degree w first inserts s(r) for
-    every echelon row r stored during degree w-1, then the rows of the
+    When the module has a shift s (one-to-one on labels, raising the
+    degree by at most one; D/fD, the free module and the line and
+    Kummer models have one), a degree w first inserts s(r) for every
+    echelon row r stored during degree w-1, then the rows of the
     degree-w labels that are not s(v) for a label v of degree w-1; the
     rows of the labels s(v) are spanned by the shifted rows (see the
     module docstring).  stored holds the rows the echelon kept, and rows

@@ -21,13 +21,18 @@ The model protocol, read by ModuleIndex, the engine and the CLI:
                          label_ints gives, or None when those integers
                          name no basis label
   shift(label)           optional: the label map of a one-to-one linear
-                         map of the module that raises the degree by one
-                         and commutes with right multiplication by every
+                         map of the module that takes each label to one
+                         label, raises the degree by at most one and
+                         commutes with right multiplication by every
                          polynomial; the engine widens through it
 
-DXQuotientModule adds row(label, elem, previous=None), the integer row
-the engine eliminates, and has a shift when its divisor is a polynomial
-whose lm misses some x_i (see its docstring).
+FreeWeylModule shifts by left multiplication by the first variable x,
+LineICModule and KummerICModule by the right action of x ((i, j) ->
+(i+1, j) and (k, j) -> (k+1, j); for k < 0 the Kummer map lowers the
+degree).  DeltaModule has no shift: x lowers its degree and is not
+one-to-one.  DXQuotientModule adds row(label, elem, previous=None), the
+integer row the engine eliminates, and has a shift when its divisor is
+a polynomial whose lm misses some x_i (see its docstring).
 
 Shipped models:
 
@@ -187,6 +192,7 @@ class FreeWeylModule:
             raise ValueError("need at least one variable")
         self.n = n
         self.name = f"free:{n}"
+        self.shift = functools.partial(_times_x, 0)
 
     def labels(self, d):
         return list(monomials_of_degree(self.n, d))
@@ -295,6 +301,9 @@ class LineICModule:
     def label(self, ints):
         return tuple(ints) if len(ints) == 2 and min(ints) >= 0 else None
 
+    def shift(self, label):
+        return label[0] + 1, label[1]
+
     def act(self, label, gen):
         i, j = label
         kind, k = gen
@@ -342,6 +351,9 @@ class KummerICModule:
     def label(self, ints):
         # k in Z, only the dy exponent j is bounded below
         return tuple(ints) if len(ints) == 2 and ints[1] >= 0 else None
+
+    def shift(self, label):
+        return label[0] + 1, label[1]
 
     def act(self, label, gen):
         k, j = label

@@ -8,6 +8,10 @@ Grammar (whitespace insensitive):
     atom    := NAME | NUMBER | '(' expr ')'
     NUMBER  := INT ['/' INT]                   rational literal p/q
 
+An exponent above MAX_EXPONENT is accepted only on a base of one term
+in x alone or d alone, whose power has a closed form; any other base
+would take that many products, with results that grow with each one.
+
 Names: x1..xn and d1..dn always; for n <= 4 the aliases x,y,z,w and
 dx,dy,dz,dw as well.  Products are noncommutative, left to right.
 """
@@ -19,7 +23,9 @@ from fractions import Fraction
 
 from .weyl import WeylElement
 
-__all__ = ["ParseError", "parse", "infer_variable_count"]
+__all__ = ["MAX_EXPONENT", "ParseError", "parse", "infer_variable_count"]
+
+MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):
@@ -143,8 +149,14 @@ class _Parser:
         e = self.atom()
         while self.peek()[0] == "^":
             self.advance()
-            tok = self.expect("int")
-            e = e ** int(tok[1])
+            _, value, pos = self.expect("int")
+            k = int(value)
+            if k > MAX_EXPONENT and not e.is_pure_term:
+                raise ParseError(
+                    f"exponent {k} above {MAX_EXPONENT} needs a base of one term "
+                    "in x alone or d alone", pos
+                )
+            e = e ** k
         return e
 
     def atom(self):

@@ -305,7 +305,7 @@ class WeylElement:
         """
         if k < 0:
             raise ValueError("negative power")
-        if len(self.terms) == 1 and not all(map(any, next(iter(self.terms)))):
+        if self.is_pure_term:
             ((xexp, dexp), c), = self.terms.items()
             power = [k * e for e in xexp], [k * e for e in dexp]
             return WeylElement.monomial(self.n, *power, c ** k)
@@ -335,6 +335,11 @@ class WeylElement:
     def is_polynomial(self):
         """True when no differential occurs (element of C[x_1..x_n])."""
         return all(not any(dexp) for _, dexp in self.terms)
+
+    @property
+    def is_pure_term(self):
+        """True for one term with no d (c*x^a) or no x (c*d^b)."""
+        return len(self.terms) == 1 and not all(map(any, next(iter(self.terms))))
 
     def degree(self, kind=Filtration.BERNSTEIN):
         """Filtration degree; None is the degree of the zero element."""

@@ -1,16 +1,23 @@
-"""The benchmark's tracing hooks name code that exists.
+"""The benchmark's tracing hooks name code that exists, and its
+workloads' expected values hold.
 
 perfbench/spans.py attaches to dxext by public name and reports a name
 it cannot find as absent instead of failing, so a rename would silently
 stop a per-layer metric.  Deleting or renaming a hooked name must
-update EXPECTED_ABSENT in the same change.
+update EXPECTED_ABSENT in the same change.  perfbench/workloads.py
+pairs every op with the value it must return; a wrong pair would only
+show as a failed op in a benchmark run, so every op is run here once.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+import dxext
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # hooked names whose targets were deleted (ROADMAP item 1)
 EXPECTED_ABSENT = {
@@ -32,11 +39,26 @@ def _resolves(short, path):
     return callable(target)
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_hooked_names_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("spans")
     hooked = {entry for entries in spans.HOOKS.values() for entry in entries if entry[1] != "*"}
     assert EXPECTED_ABSENT <= hooked
     absent = {entry for entry in hooked if not _resolves(*entry)}
     assert absent == EXPECTED_ABSENT
+
+
+WORKLOADS = _load("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_ops_return_expected(name):
+    for op in WORKLOADS[name](dxext, 1):
+        observed, expected = op.check(op.call())
+        assert observed == expected, op.label

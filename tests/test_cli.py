@@ -7,6 +7,7 @@ import json
 import pytest
 
 from dxext.cli import build_parser, main
+from dxext.parser import MAX_EXPONENT
 from dxext.verify import CheckResult
 
 
@@ -238,6 +239,26 @@ def assert_usage_error(code, out, err):
         "crosscheck-kummer-zero-denominator", "crosscheck-kummer-integer"])
 def test_bad_model_or_character_is_usage_error(capsys, argv):
     assert_usage_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("twist", "--f", "x*y", "--alpha", "(x + dx)^100000"),
+    ("act", "--f", "x*y", "--element", "1", "--alpha", "(x dx)^65"),
+    ("ext-self", "--f", "(x + y)^99999999999999999999", "--max-deg", "1"),
+], ids=["alpha-sum", "alpha-mixed-term", "f-sum"])
+def test_power_above_max_exponent_is_usage_error(capsys, argv):
+    # these bases have no closed-form power; parsing them unbounded
+    # would not end
+    code, out, err = run(capsys, *argv)
+    assert_usage_error(code, out, err)
+    assert f"above {MAX_EXPONENT}" in err
+
+
+def test_closed_form_power_still_parses(capsys):
+    code, out, _ = run(capsys, "twist", "--f", "x*y", "--alpha", "x^99999999999999999999",
+                       "--format", "json")
+    assert code == 0
+    assert result_of(out)["beta"] == "x^99999999999999999999"
 
 
 @pytest.mark.parametrize("group", [

@@ -96,6 +96,9 @@ CASES = [
     ["curve-crosscheck", "--n", "2", "--model", "kummer:1/0"],
     ["curve-crosscheck", "--n", "2", "--model", "kummer:1"],
     ["act", "--f", "x*y", "--alpha", "x dx", "--model", "dx:x*y", "--element", "1,2=1"],
+    # powers: closed form at any exponent, other bases bounded (usage error)
+    ["twist", "--f", "x*y", "--alpha", "x^99999999999999999999"],
+    ["twist", "--f", "x*y", "--alpha", "(x + dx)^100000"],
 ]
 
 

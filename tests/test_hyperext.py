@@ -364,6 +364,9 @@ CUSP = "y^2 - x^3"
     ("nlines-ic:2", CUSP, 4, [1, 3, 6, 9, 12], STABILIZED, "generator_width", 10),
     ("nlines-ic:2", "x*y", 6, [1, 2, 3, 4, 5, 6, 7], EXACT_GRADED, "generator_degree_bound", 8),
     ("free:2", "x*y", 5, [1, 5, 14, 30, 55, 91], EXACT_GRADED, "generator_degree_bound", 3),
+    # the window path through Kummer's shift, which lowers the degree for k < 0
+    ("kummer:2:1/2", CUSP, 4, [0] * 5, EXACT_ZERO, "generator_width", 9),
+    ("free:2", "y^2 - x^3 + x", 5, [1, 5, 15, 34, 65, 111], EXACT_GRADED, "generator_degree_bound", 2),
 ])
 def test_module_route_notes_pinned(spec, text, max_deg, dims, status, note, value):
     # A bounded model reports its generator bound; the others report the

@@ -325,25 +325,22 @@ ENGINE_ROW_CASES = [
 ]
 
 
-@pytest.mark.parametrize("divisor,text", ENGINE_ROW_CASES)
-def test_engine_rows_match_full_product(divisor, text):
-    # Span oracle: at every width through 5 the engine's echelon spans
-    # what a fresh echelon of row(label, f) over every label through
+def _assert_engine_matches_oracle(module, f, row, max_width):
+    # Span oracle: at every width through max_width the engine's echelon
+    # spans what a fresh echelon of row(label) over every label through
     # that width spans, read as rank, pivot set and level dims.  Only
     # the labels outside the image of the model's shift get rows of their
     # own.
-    f = parse(text)
-    module = DXQuotientModule(parse(divisor, f.n))
     engine = CokernelEngine(module, f)
     oracle = SparseEchelon()
     shift = getattr(module, "shift", None)
-    for width in range(6):
+    for width in range(max_width + 1):
         engine.widen_to(width)
         labels = engine.index.labels_of_degree(width)
         image = {shift(lab) for lab in module.labels(width - 1)} if shift else set()
         assert list(engine.rows) == [lab for lab in labels if lab not in image]
         for label in labels:
-            oracle.add(engine.index.vector(module.row(label, f)))
+            oracle.add(engine.index.vector(row(label)))
         assert engine.echelon.rank == oracle.rank
         assert set(engine.echelon.rows) == set(oracle.rows)
         dims = [
@@ -353,21 +350,73 @@ def test_engine_rows_match_full_product(divisor, text):
         assert engine.level_dims(width) == dims
 
 
+@pytest.mark.parametrize("divisor,text", ENGINE_ROW_CASES)
+def test_engine_rows_match_full_product(divisor, text):
+    f = parse(text)
+    module = DXQuotientModule(parse(divisor, f.n))
+    _assert_engine_matches_oracle(module, f, lambda label: module.row(label, f), 5)
+
+
+ACT_SHIFT_MODELS = [
+    FreeWeylModule(1),
+    FreeWeylModule(2),
+    LineICModule(2),
+    LineICModule(3),
+    KummerICModule(Fraction(1, 2)),
+    KummerICModule(Fraction(-5, 3), 3),
+]
+
+
+@pytest.mark.parametrize("text", ["x*y", "y^2 - x^3", "x*y + x^2 + 1"])
+@pytest.mark.parametrize("module", ACT_SHIFT_MODELS, ids=lambda m: m.name)
+def test_act_word_engine_rows_match_full_product(module, text):
+    # the models without a row kernel widen through the same shift, with
+    # act_word rows for the labels outside its image
+    f = parse(text if module.n == 2 else "x^2 + 1", module.n)
+    _assert_engine_matches_oracle(module, f, lambda label: act_word(module, {label: 1}, f), 6)
+
+
 def test_shift_only_for_polynomial_divisors():
     # the shifted-row path needs an x_i that lm(f) lacks and commutes with f
     assert DXQuotientModule(parse("y^2 - x^3")).shift(((1, 0), (0, 2))) == ((1, 1), (0, 2))
     assert DXQuotientModule(parse("x^3 + y^4")).shift(((0, 1), (1, 0))) == ((1, 1), (1, 0))
     for text in ("x*y", "x*y*(x - y)", "x*y*z", "x*y + dx", "x + dx", "x^2 + dy"):
         assert not hasattr(DXQuotientModule(parse(text)), "shift"), text
-    shifting = [
-        m.name for m in label_models() if isinstance(m, DXQuotientModule) and hasattr(m, "shift")
+    shifting = [m.name for m in label_models() if hasattr(m, "shift")]
+    assert shifting == [
+        "free:1", "free:2", "nlines-ic:2", "nlines-ic:3", "kummer:2:1/2", f"dx:{parse('y^2 - x^3')}",
     ]
-    assert shifting == [f"dx:{parse('y^2 - x^3')}"]
+    assert all(hasattr(m, "shift") for m in ACT_SHIFT_MODELS)
+    # x lowers the degree on the delta module: no shift
+    assert not hasattr(DeltaModule(1), "shift") and not hasattr(DeltaModule(2), "shift")
 
 
 SHIFT_MODELS = [
     DXQuotientModule(parse(text)) for text in ("y^2 - x^3", "x^3 + y^4", "y^2 - x^5", "x^2*y + z")
 ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    {m.name: m for m in label_models() + ACT_SHIFT_MODELS + SHIFT_MODELS if hasattr(m, "shift")}.values(),
+    ids=lambda m: m.name,
+)
+def test_shift_contract(module):
+    # one-to-one on labels (a shifted row mixes degrees, so across them
+    # too), raising the degree by at most one, and commuting with the
+    # action of every x_i, so with right multiplication by every polynomial
+    seen = set()
+    for d in range(7):
+        labels = module.labels(d)
+        image = [module.shift(label) for label in labels]
+        assert seen.isdisjoint(image) and len(set(image)) == len(image)
+        seen.update(image)
+        for label, shifted in zip(labels, image):
+            assert module.degree(shifted) <= d + 1
+            assert shifted in module.labels(module.degree(shifted))
+            for i in range(module.n):
+                moved = {module.shift(lab): c for lab, c in module.act(label, ("x", i)).items()}
+                assert module.act(shifted, ("x", i)) == moved
 
 
 @pytest.mark.parametrize("module", SHIFT_MODELS, ids=lambda m: m.name)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dxext.parser import ParseError, infer_variable_count, parse
+from dxext.parser import MAX_EXPONENT, ParseError, infer_variable_count, parse
 from dxext.weyl import WeylElement
 
 
@@ -108,3 +108,15 @@ def test_str_of_parse_is_stable():
         e = parse(text, 2)
         assert parse(str(e), 2) == e
         assert str(parse(str(e), 2)) == str(e)
+
+
+def test_large_powers_only_in_closed_form():
+    # one term in x alone or d alone has a closed-form power at any
+    # exponent; any other base is bounded by MAX_EXPONENT
+    assert parse("x^99999999999999999999", 1) == W(1, (99999999999999999999,), (0,))
+    assert parse("(2 dx dy)^100", 2) == W(2, (0, 0), (100, 100), 2 ** 100)
+    assert len(parse(f"(x + dx)^{MAX_EXPONENT}", 1).terms) == 1089
+    for text in ("(x + dx)^100000", f"(x + dx)^{MAX_EXPONENT + 1}", "(x dx)^65", "(x + y)^65",
+                 "(x - x)^99999999999999999999", "x^2 (x + 1)^3^100"):
+        with pytest.raises(ParseError, match="above"):
+            parse(text, 2)
