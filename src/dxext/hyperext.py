@@ -54,10 +54,16 @@ that are not s of a degree w-1 label,
 
 and since s(S_(w-2)) lies in S_(w-1), s(S_(w-1)) is spanned modulo
 S_(w-1) by s(r) for the echelon rows r stored during degree w-1.  Each
-s(r) is a re-indexing of r's columns, so it is already a primitive
-integer row and enters the echelon without re-normalising.  The spans
-agree at every whole width, so level dims, ranks and reduced
-representatives do too; only the vectors fed to the echelon change.
+s(r) is a re-indexing of r's columns, so it is a primitive integer row
+with r's pivot coefficient.  Where s keeps the column order up to r's
+pivot p and no row pivots at s(p) yet, s(r) is exactly the row the
+echelon would store for it, so the echelon records it as the image of
+r and builds it only when a reduction or a reader of its rows needs
+it; any other s(r) is reduced as it is added.  Images enter in the same
+order as the reduced inserts would, so every row, once built, is the
+one the echelon would have stored.  The spans agree at every whole
+width, so level dims, ranks and reduced representatives do too; only
+the vectors fed to the echelon change.
 When the divisor of D/fD is a polynomial whose lm misses a variable
 x_i, s is left multiplication by x_i: it maps standard monomials to
 standard monomials, so x_i*NF(h) = NF(x_i*h) with no division at all,
@@ -67,6 +73,11 @@ line models s is the right action of x: (i, j) -> (i+1, j), one label
 per degree in L_w, and on the Kummer model (k, j) -> (k+1, j), which
 lowers the degree for k < 0; those labels are not images of a lower
 degree, so L_w holds every label with k <= 0.
+
+Rows without a row kernel come from act_word on the primitive integer
+form of f: the models act with int coefficients wherever they are
+integral, so those rows are integer multiples of v*f and need no
+Fraction arithmetic.
 
 For one-sided questions exactness is free: v*f is nonzero of degree
 deg v + deg f whenever v is nonzero (degree additivity in a domain),
@@ -85,7 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, primitive
 from .models import DXQuotientModule, act_word
 from .rewrite import node_system
 from .tables import EXACT_GRADED, EXACT_ZERO, STABILIZED, TruncationLevel, TruncationTable
@@ -129,6 +140,11 @@ class ModuleIndex:
     a label's position never changes.  _through[e] is the label count
     through degree e: the degree-m prefix has _through[m] labels, and
     the labels of degree e are _labels[_through[e - 1]:_through[e]].
+
+    For a module with a shift it also keeps the column map of the
+    shift, extended on demand, and the length of its longest strictly
+    increasing prefix: on those columns the shift keeps the order of
+    columns, so it maps a row's pivot to its image's pivot.
     """
 
     def __init__(self, module):
@@ -137,6 +153,7 @@ class ModuleIndex:
         self._pos = {}
         self._through = []  # label count through each degree
         self._shift = []  # column of module.shift(label) for each column
+        self._rising = 0  # _shift[:_rising] is strictly increasing
 
     def extend_to(self, degree):
         for d in range(len(self._through), degree + 1):
@@ -166,16 +183,30 @@ class ModuleIndex:
     def combination(self, vec):
         return {self._labels[i]: c for i, c in vec.items()}
 
-    def shifted(self, vec):
-        """vec with every label replaced by module.shift(label).
-
-        The column map is cached and extended on demand.
-        """
+    def _shift_through(self, top):
+        """The column map of module.shift, extended through column top."""
         cols = self._shift
-        top = max(vec)
         while len(cols) <= top:
-            cols.append(self.position(self.module.shift(self._labels[len(cols)])))
+            col = self.position(self.module.shift(self._labels[len(cols)]))
+            if self._rising == len(cols) and (not cols or cols[-1] < col):
+                self._rising += 1
+            cols.append(col)
+        return cols
+
+    def shifted(self, vec):
+        """vec with every label replaced by module.shift(label)."""
+        cols = self._shift_through(max(vec))
         return {cols[c]: v for c, v in vec.items()}
+
+    def shifted_pivot(self, c):
+        """The column of module.shift(label c) while the column map is
+        strictly increasing on columns 0..c, else None.
+
+        Then the largest column of shifted(r) is that column for every
+        vector r whose largest column is c.
+        """
+        cols = self._shift_through(c)
+        return cols[c] if c < self._rising else None
 
     def unshifted_labels(self, d):
         """The labels of degree d that are not module.shift(v) for a label
@@ -186,17 +217,21 @@ class ModuleIndex:
         return [lab for k, lab in enumerate(labels, first) if k not in image]
 
 
+def _pivot(row):
+    return None if row is None else max(row)
+
+
 class CokernelEngine:
     """Incremental echelon of the rows row(v) = v*f of M/Mf.
 
     Rows come from the model's row kernel when it has one, else from
-    act_word.  They are added for whole label degrees (width = largest
-    label degree included), and the kernel is handed the rows of the
-    previous degree, the only ones kept.  Pivots are trailing (largest
-    column), and columns are numbered degree-major, so the dimension of
-    the span inside F_m is the number of pivots below the size of the
-    degree-m prefix, at every widening stage, from one shared
-    elimination.
+    act_word on the primitive integer form of f.  They are added for
+    whole label degrees (width = largest label degree included), and
+    the kernel is handed the rows of the previous degree, the only ones
+    kept.  Pivots are trailing (largest column), and columns are
+    numbered degree-major, so the dimension of the span inside F_m is
+    the number of pivots below the size of the degree-m prefix, at every
+    widening stage, from one shared elimination.
 
     When the module has a shift s (one-to-one on labels, raising the
     degree by at most one; D/fD, the free module and the line and
@@ -204,10 +239,12 @@ class CokernelEngine:
     echelon row r stored during degree w-1, then the rows of the
     degree-w labels that are not s(v) for a label v of degree w-1; the
     rows of the labels s(v) are spanned by the shifted rows (see the
-    module docstring).  stored holds the rows the echelon kept, and rows
-    only the raw rows of the labels outside the image of s.  A stored
-    row is primitive, and so is its shift, so the shifted rows are added
-    with is_primitive and skip linalg.primitive.
+    module docstring).  stored holds the pivots of the echelon rows
+    stored during the last degree, and rows only the raw rows of the
+    labels outside the image of s.  Where s keeps the column order
+    through r's pivot p (ModuleIndex.shifted_pivot) and no row pivots
+    at s(p) yet, s(r) needs no reduction: it is recorded as an image in
+    the echelon and built only when something reads it.
     """
 
     def __init__(self, module, f):
@@ -215,35 +252,43 @@ class CokernelEngine:
         if module.n != f.n:
             raise ValueError("variable count mismatch between module and f")
         self.index = ModuleIndex(module)
-        self.echelon = SparseEchelon()
         self.f = f
         row = getattr(module, "row", None)
         if row is None:
-            self.row = lambda lab, previous: act_word(module, {lab: Fraction(1)}, f)
+            ints = WeylElement(f.n, primitive(f.terms)[1])
+            self.row = lambda lab, previous: act_word(module, {lab: 1}, ints)
         else:
             self.row = lambda lab, previous: row(lab, f, previous)
         self.shifts = hasattr(module, "shift")
+        self.echelon = SparseEchelon(self.index.shifted if self.shifts else None)
         self.rows = {}  # {label: row} built by the row kernel in the last label degree
-        self.stored = []  # echelon rows stored during the last label degree
+        self.stored = []  # pivots of the echelon rows stored during the last label degree
         self.width = -1
 
     def widen_to(self, width):
-        add = self.echelon.add
+        echelon, index = self.echelon, self.index
         while self.width < width:
             self.width += 1
             previous, self.rows = self.rows, {}
+            stored = []  # pivots of the rows stored, None where the span did not grow
             if self.shifts:
-                stored = [add(self.index.shifted(row), is_primitive=True) for row in self.stored]
-                labels = self.index.unshifted_labels(self.width)
+                for p in self.stored:
+                    q = index.shifted_pivot(p)
+                    if q is None or echelon.row(q) is not None:
+                        q = _pivot(echelon.add(index.shifted(echelon.row(p))))
+                    else:
+                        echelon.add_image(q, p)
+                    stored.append(q)
+                labels = index.unshifted_labels(self.width)
             else:
-                stored, labels = [], self.index.labels_of_degree(self.width)
+                labels = index.labels_of_degree(self.width)
             for lab in labels:
-                vec = self.index.vector(self.row(lab, previous))
-                stored.append(add(vec))
+                vec = index.vector(self.row(lab, previous))
+                stored.append(_pivot(echelon.add(vec)))
                 # keyed by the index's own label objects, so the rows held
                 # for the next degree allocate no monomials of their own
-                self.rows[lab] = self.index.combination(vec)
-            self.stored = [row for row in stored if row is not None]
+                self.rows[lab] = index.combination(vec)
+            self.stored = [p for p in stored if p is not None]
 
     def level_dims(self, max_deg):
         out = []

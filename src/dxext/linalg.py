@@ -8,7 +8,9 @@ SparseEchelon keeps one row per pivot column.  The pivot is the largest
 column of the row, which makes prefix queries exact: with columns
 enumerated degree by degree, the number of rows whose pivot falls
 inside the first k columns equals the dimension of the intersection of
-the span with that coordinate prefix.
+the span with that coordinate prefix.  A row is either stored, or
+recorded as the image of another row under a fixed column map and
+built from it only when a reduction or a reader of rows needs it.
 """
 
 from __future__ import annotations
@@ -39,30 +41,71 @@ class SparseEchelon:
 
     Rows are primitive integer vectors keyed by pivot column; no two
     rows share a pivot, and each row pivots on its largest column.
+
+    image, when given, maps a row to a primitive integer row whose
+    largest column holds the same positive coefficient.  add_image(q, p)
+    adds the image of the row pivoting at p, whose largest column the
+    caller knows to be q, without building it; row(q) builds it on
+    first use and keeps it.  rows builds every image and returns the
+    {pivot: row} dict.
     """
 
-    __slots__ = ("rows", "_pivots")
+    __slots__ = ("_rows", "_images", "_pivots", "_image")
 
-    def __init__(self):
-        self.rows = {}
+    def __init__(self, image=None):
+        self._rows = {}  # {pivot: row}, the rows built so far
+        self._images = {}  # {pivot: pivot of the row it is the image of}
         self._pivots = []  # sorted pivot columns
+        self._image = image
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows) + len(self._images)
 
-    def residual(self, vec, *, is_primitive=False):
-        """Primitive integer residual of vec against the current rows.
+    @property
+    def rows(self):
+        for p in list(self._images):
+            self.row(p)
+        return self._rows
 
-        is_primitive says that vec is already a primitive integer row
-        with no zero entries, so it is copied instead of normalised.
+    def row(self, p):
+        """The row pivoting at p, or None when no row pivots there.
+
+        An image is built from the nearest built row it descends from,
+        walking the chain iteratively, and every row on the way is kept.
         """
-        work = dict(vec) if is_primitive else primitive(vec)[1]
+        row = self._rows.get(p)
+        if row is not None or p not in self._images:
+            return row
+        chain = [p]
+        source = self._images[p]
+        while source not in self._rows:
+            chain.append(source)
+            source = self._images[source]
+        row = self._rows[source]
+        for q in reversed(chain):
+            row = self._image(row)
+            self._rows[q] = row
+            del self._images[q]
+        return row
+
+    def add_image(self, pivot, source):
+        """Record the image of the row pivoting at source as the row
+        pivoting at pivot, where no row pivots yet."""
+        self._images[pivot] = source
+        insort(self._pivots, pivot)
+
+    def residual(self, vec):
+        """Primitive integer residual of vec against the current rows."""
+        rows, images = self._rows, self._images
+        work = primitive(vec)[1]
         while work:
             p = max(work)
-            row = self.rows.get(p)
+            row = rows.get(p)
             if row is None:
-                return work
+                if p not in images:
+                    return work
+                row = self.row(p)
             a, b = row[p], work.pop(p)
             g = math.gcd(a, b)
             ma, mb = a // g, b // g
@@ -84,20 +127,20 @@ class SparseEchelon:
                     work = {c: v // g for c, v in work.items()}
         return {}
 
-    def add(self, vec, *, is_primitive=False):
+    def add(self, vec):
         """Insert a vector; the row stored for it when it enlarged the
         span, else None.
 
         The row is the echelon's own dict, which it never changes
-        afterwards.  is_primitive is passed on to residual.
+        afterwards.
         """
-        r = self.residual(vec, is_primitive=is_primitive)
+        r = self.residual(vec)
         if not r:
             return None
         p = max(r)
         if r[p] < 0:
             r = {c: -v for c, v in r.items()}
-        self.rows[p] = r
+        self._rows[p] = r
         insort(self._pivots, p)
         return r
 
@@ -111,16 +154,17 @@ class SparseEchelon:
 
     def reduce_fractions(self, vec):
         """Exact Fraction residual (canonical representative modulo the span)."""
+        rows, images = self._rows, self._images
         work = {c: Fraction(v) for c, v in vec.items() if v}
         while True:
             hit = None
             for p in sorted(work, reverse=True):
-                if p in self.rows:
+                if p in rows or p in images:
                     hit = p
                     break
             if hit is None:
                 return work
-            row = self.rows[hit]
+            row = self.row(hit)
             scale = work[hit] / row[hit]
             for c, rv in row.items():
                 nv = work.get(c, Fraction(0)) - scale * rv

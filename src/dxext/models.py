@@ -12,8 +12,8 @@ The model protocol, read by ModuleIndex, the engine and the CLI:
   labels(d)              the labels of exact degree d, in a fixed order;
                          basis(module, m) concatenates labels(0..m)
   degree(label)          the degree d with label in labels(d)
-  act(label, gen)        label . gen as {label: Fraction}, for gen
-                         ("x", i) or ("d", i)
+  act(label, gen)        label . gen as {label: int or Fraction}, for
+                         gen ("x", i) or ("d", i)
   mf_level_bound(f, m)   a label degree N such that the rows v*f with
                          deg v <= N span M*f meet F_m, or None when the
                          model has no such bound
@@ -45,6 +45,11 @@ Shipped models:
                          extension of the rank-one system with monodromy
                          exp(2*pi*i*lam), lam a non-integer rational
   DXQuotientModule(f)    D/fD with canonical monomial representatives
+
+The free, delta, line and Kummer models act with int coefficients
+wherever they are integral (all but Kummer's -(lam+k)), so act_word
+takes integer combinations to integer combinations under an element
+with integral coefficients; D/fD acts through Fraction division.
 
 Right-action sign conventions on the line models follow the volume-form
 realization of a right module: x^i . dx = -i x^(i-1) on the polynomial
@@ -83,7 +88,7 @@ __all__ = [
 
 def _merge(acc, comb, c=1):
     for label, v in comb.items():
-        nv = acc.get(label, Fraction(0)) + v * c
+        nv = acc.get(label, 0) + v * c
         if nv:
             acc[label] = nv
         else:
@@ -119,7 +124,9 @@ def act_word(module, comb, elem):
 
     Each normal-ordered monomial x^a d^b acts as the product of its
     generators, x factors first; the results are summed with the
-    monomial coefficients.
+    monomial coefficients.  An integral coefficient multiplies as an
+    int, so integer combinations acted on by an element with integral
+    coefficients stay integers, and Fraction combinations stay Fractions.
     """
     if elem.n != module.n:
         raise ValueError("variable count mismatch")
@@ -132,7 +139,7 @@ def act_word(module, comb, elem):
         for i in range(module.n):
             for _ in range(dexp[i]):
                 cur = act_combination(module, cur, ("d", i))
-        _merge(acc, cur, c)
+        _merge(acc, cur, c.numerator if c.denominator == 1 else c)
     return acc
 
 
@@ -209,15 +216,15 @@ class FreeWeylModule:
         if kind == "d":
             de = list(dexp)
             de[i] += 1
-            return {(xexp, tuple(de)): Fraction(1)}
+            return {(xexp, tuple(de)): 1}
         # (x^a d^b) . x_i = x^(a+e_i) d^b + b_i x^a d^(b-e_i)
         xe = list(xexp)
         xe[i] += 1
-        out = {(tuple(xe), dexp): Fraction(1)}
+        out = {(tuple(xe), dexp): 1}
         if dexp[i]:
             de = list(dexp)
             de[i] -= 1
-            out[(xexp, tuple(de))] = Fraction(dexp[i])
+            out[(xexp, tuple(de))] = dexp[i]
         return out
 
     def mf_level_bound(self, f, level):
@@ -249,11 +256,11 @@ class DeltaModule:
         exp = list(label)
         if kind == "d":
             exp[i] += 1
-            return {tuple(exp): Fraction(1)}
+            return {tuple(exp): 1}
         if exp[i] == 0:
             return {}
         exp[i] -= 1
-        return {tuple(exp): Fraction(label[i])}
+        return {tuple(exp): label[i]}
 
     def mf_level_bound(self, f, level):
         return _homogeneous_mf_level_bound(f, level)
@@ -308,12 +315,12 @@ class LineICModule:
         i, j = label
         kind, k = gen
         if kind == "x" and k == 0:
-            return {(i + 1, j): Fraction(1)}
+            return {(i + 1, j): 1}
         if kind == "x" and k == 1:
-            return {(i, j - 1): Fraction(j)} if j else {}
+            return {(i, j - 1): j} if j else {}
         if kind == "d" and k == 0:
-            return {(i - 1, j): Fraction(-i)} if i else {}
-        return {(i, j + 1): Fraction(1)}
+            return {(i - 1, j): -i} if i else {}
+        return {(i, j + 1): 1}
 
     def mf_level_bound(self, f, level):
         return _homogeneous_mf_level_bound(f, level)
@@ -359,12 +366,12 @@ class KummerICModule:
         k, j = label
         kind, idx = gen
         if kind == "x" and idx == 0:
-            return {(k + 1, j): Fraction(1)}
+            return {(k + 1, j): 1}
         if kind == "x" and idx == 1:
-            return {(k, j - 1): Fraction(j)} if j else {}
+            return {(k, j - 1): j} if j else {}
         if kind == "d" and idx == 0:
             return {(k - 1, j): -(self.lam + k)}
-        return {(k, j + 1): Fraction(1)}
+        return {(k, j + 1): 1}
 
     def mf_level_bound(self, f, level):
         return _homogeneous_mf_level_bound(f, level)

@@ -8,9 +8,17 @@ Grammar (whitespace insensitive):
     atom    := NAME | NUMBER | '(' expr ')'
     NUMBER  := INT ['/' INT]                   rational literal p/q
 
-An exponent above MAX_EXPONENT is accepted only on a base of one term
-in x alone or d alone, whose power has a closed form; any other base
-would take that many products, with results that grow with each one.
+Bernstein degree is additive in the Weyl algebra, so the parser knows
+the degree of a product or power before it multiplies.  Every product
+and power of degree above MAX_DEGREE is rejected, since its normal
+ordering grows with the degree, except where the result is one term in
+closed form: a power of one term in x alone or d alone, and a product
+of single terms in which no x meets a d of an earlier factor.
+A power of any other base counts its exponent times the base's degree,
+at least 1, as __pow__ takes that many products even of a constant.
+A power of a base with several terms is multiplied out only once it
+is added to or multiplied by something within the bound, so a nested
+power or a product of powers above it fails before any product.
 
 Names: x1..xn and d1..dn always; for n <= 4 the aliases x,y,z,w and
 dx,dy,dz,dw as well.  Products are noncommutative, left to right.
@@ -23,9 +31,9 @@ from fractions import Fraction
 
 from .weyl import WeylElement
 
-__all__ = ["MAX_EXPONENT", "ParseError", "parse", "infer_variable_count"]
+__all__ = ["MAX_DEGREE", "ParseError", "parse", "infer_variable_count"]
 
-MAX_EXPONENT = 64
+MAX_DEGREE = 64
 
 
 class ParseError(ValueError):
@@ -119,44 +127,61 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return e
+        return _value(e)
 
     def expr(self):
         sign = 1
         while self.peek()[0] in ("+", "-"):
             if self.advance()[0] == "-":
                 sign = -sign
-        e = self.term() * sign
+        e = self.term()
+        if sign == 1 and self.peek()[0] not in ("+", "-"):
+            return e  # a lone term passes through, perhaps not multiplied out
+        e = _value(e) * sign
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            t = self.term()
+            t = _value(self.term())
             e = e + t if op == "+" else e - t
         return e
 
     def term(self):
-        e = self.factor()
+        pos = self.peek()[2]
+        factors = [self.factor()]
         while True:
             kind = self.peek()[0]
             if kind == "*":
                 self.advance()
-                e = e * self.factor()
-            elif kind in ("name", "int", "("):
-                e = e * self.factor()
-            else:
-                return e
+            elif kind not in ("name", "int", "("):
+                break
+            factors.append(self.factor())
+        if len(factors) == 1:
+            return factors[0]
+        # a product of nonzero factors has the sum of their degrees, so a
+        # term above the bound is refused before anything is multiplied
+        degree = sum(e.degree() or 0 for e in factors)
+        if degree > MAX_DEGREE and not _one_term(factors):
+            raise ParseError(f"product of degree {degree} above {MAX_DEGREE}", pos)
+        e = _value(factors[0])
+        for b in factors[1:]:
+            e = e * _value(b)
+        return e
 
     def factor(self):
         e = self.atom()
         while self.peek()[0] == "^":
             self.advance()
             _, value, pos = self.expect("int")
-            k = int(value)
-            if k > MAX_EXPONENT and not e.is_pure_term:
+            base, k = (e.base, e.k * int(value)) if isinstance(e, _Power) else (e, int(value))
+            if base.is_pure_term:
+                e = base ** k
+                continue
+            degree = k * max(base.degree() or 0, 1)
+            if degree > MAX_DEGREE:
                 raise ParseError(
-                    f"exponent {k} above {MAX_EXPONENT} needs a base of one term "
-                    "in x alone or d alone", pos
+                    f"power of degree {degree} above {MAX_DEGREE} needs a base of one "
+                    "term in x alone or d alone", pos
                 )
-            e = e ** k
+            e = _Power(base, k) if k > 1 and len(base.terms) > 1 else base ** k
         return e
 
     def atom(self):
@@ -184,6 +209,41 @@ class _Parser:
             self.expect(")")
             return e
         raise ParseError(f"unexpected {value!r}", pos)
+
+
+class _Power:
+    """base ** k for a base of several terms, not multiplied out yet.
+
+    Its degree, k * deg(base), is known without the product, so a
+    product or power of it above MAX_DEGREE is refused before any work.
+    """
+
+    __slots__ = ("base", "k")
+
+    def __init__(self, base, k):
+        self.base, self.k = base, k
+
+    def degree(self):
+        return self.k * self.base.degree()
+
+
+def _value(e):
+    """e as a WeylElement, multiplying out a deferred power."""
+    return e.base ** e.k if isinstance(e, _Power) else e
+
+
+def _one_term(factors):
+    """True when the factors are single terms whose product is one term:
+    no x of a factor meets a d of a factor before it."""
+    d_seen = set()
+    for e in factors:
+        if isinstance(e, _Power) or len(e.terms) != 1:
+            return False
+        (xexp, dexp), = e.terms
+        if any(xexp[i] for i in d_seen):
+            return False
+        d_seen.update(i for i, b in enumerate(dexp) if b)
+    return True
 
 
 def parse(text, n=None):

@@ -3,11 +3,12 @@
 import argparse
 import inspect
 import json
+import time
 
 import pytest
 
 from dxext.cli import build_parser, main
-from dxext.parser import MAX_EXPONENT
+from dxext.parser import MAX_DEGREE
 from dxext.verify import CheckResult
 
 
@@ -251,7 +252,20 @@ def test_power_above_max_exponent_is_usage_error(capsys, argv):
     # would not end
     code, out, err = run(capsys, *argv)
     assert_usage_error(code, out, err)
-    assert f"above {MAX_EXPONENT}" in err
+    assert f"above {MAX_DEGREE}" in err
+
+
+@pytest.mark.parametrize("alpha", [
+    "(x + dx)^64 (x + dx)^64", "((x + dx)^16)^8",
+], ids=["product-of-powers", "nested-power"])
+def test_product_above_max_degree_is_usage_error_at_once(capsys, alpha):
+    # the degree of a product or power is known before it is multiplied
+    # out, so the refusal costs no product at all
+    start = time.perf_counter()
+    code, out, err = run(capsys, "twist", "--f", "x*y", "--alpha", alpha)
+    assert time.perf_counter() - start < 1
+    assert_usage_error(code, out, err)
+    assert f"degree 128 above {MAX_DEGREE}" in err
 
 
 def test_closed_form_power_still_parses(capsys):

@@ -99,6 +99,9 @@ CASES = [
     # powers: closed form at any exponent, other bases bounded (usage error)
     ["twist", "--f", "x*y", "--alpha", "x^99999999999999999999"],
     ["twist", "--f", "x*y", "--alpha", "(x + dx)^100000"],
+    # products and nested powers bounded by their degree (usage error)
+    ["twist", "--f", "x*y", "--alpha", "(x + dx)^64 (x + dx)^64"],
+    ["twist", "--f", "x*y", "--alpha", "((x + dx)^16)^8"],
 ]
 
 

@@ -134,6 +134,53 @@ def test_cusp_echelon_pinned(level, width, rank, nnz, bits):
         assert row[max(row)] > 0
 
 
+def _shift_pivot_hits(engine):
+    """Rows whose pivot the column lookup maps, after checking each one."""
+    index, hits = engine.index, 0
+    for p, row in engine.echelon.rows.items():
+        q = index.shifted_pivot(p)
+        if q is not None:
+            assert q == max(index.shifted(row)), p
+            hits += 1
+    return hits
+
+
+def test_shifted_pivot_is_the_pivot_of_the_shifted_row():
+    # where the lookup gives a column for a stored row's pivot, that
+    # column is the largest of the shifted row, so the shifted row can
+    # enter the echelon as an image of its source
+    engine = self_engine(P(CUSP))
+    engine.ext1_levels(4, 4, 3)
+    assert _shift_pivot_hits(engine) == engine.echelon.rank
+    engine = CokernelEngine(parse_model("free:2"), P("x*y"))
+    engine.widen_to(6)
+    assert _shift_pivot_hits(engine) == engine.echelon.rank
+
+
+def test_shifted_pivot_stops_where_the_column_map_falls():
+    # Kummer's shift lowers the degree of (k, j) for k < 0, so its column
+    # map falls at the first such label; from there on the lookup gives
+    # None and shifted rows are reduced as they are added
+    index = ModuleIndex(KummerICModule(Fraction(1, 2)))
+    index.extend_to(4)
+    size = index.prefix_size(4)
+    cols = [max(index.shifted({c: 1})) for c in range(size)]
+    fall = next(c for c in range(1, size) if cols[c] < cols[c - 1])
+    assert fall == 1
+    assert [index.shifted_pivot(c) for c in range(size)] == cols[:fall] + [None] * (size - fall)
+
+
+def test_cusp_rows_stay_images_until_read():
+    # the cusp at level 4 stores 11,446 rows; most are shifts of a row
+    # one degree lower with a free pivot, kept as images and never built
+    engine = self_engine(P(CUSP))
+    engine.ext1_levels(4, 4, 3)
+    images = len(engine.echelon._images)
+    assert engine.echelon.rank == 11446
+    assert images >= 0.7 * engine.echelon.rank
+    assert len(engine.echelon._rows) == engine.echelon.rank - images
+
+
 # (rank, level_dims) after each whole label width, from width 0: the
 # cusp at level 4 through width 28 and E6 at level 2 through width 20.
 # Shifting stored echelon rows changes which vectors reach the echelon,

@@ -104,13 +104,22 @@ def primitive_int_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(primitive_int_rows(), max_size=12))
 def test_primitive_rows_enter_unchanged(rows):
-    # Rows that are already primitive integer rows may skip primitive();
-    # the echelon must come out the same, and the caller's rows untouched.
+    # A primitive integer row whose pivot is still free is stored as a
+    # copy of itself with its pivot made positive; the echelon comes out
+    # as it does from Fraction copies of the rows, and the caller's rows
+    # are untouched.
     copies = [dict(row) for row in rows]
-    plain, trusted = SparseEchelon(), SparseEchelon()
-    grew = [plain.add(row) for row in rows]
-    assert [trusted.add(row, is_primitive=True) for row in rows] == grew
-    assert trusted.rows == plain.rows
+    ints, fractions = SparseEchelon(), SparseEchelon()
+    for row in rows:
+        pivot = max(row)
+        free = ints.row(pivot) is None
+        stored = ints.add(row)
+        if free:
+            sign = 1 if row[pivot] > 0 else -1
+            assert stored == {c: sign * v for c, v in row.items()}
+            assert stored is not row
+        assert (fractions.add({c: Fraction(v) for c, v in row.items()}) is None) == (stored is None)
+    assert fractions.rows == ints.rows
     assert rows == copies
 
 
@@ -152,3 +161,54 @@ def test_reduce_fractions_properties():
         assert ech.contains({c: v for c, v in diff.items() if v})
         assert ech.reduce_fractions(red) == red
         assert (red == {}) == ech.contains(vec)
+
+
+def _shift_columns(row):
+    # a column map that keeps the order of columns: c -> 2c + 1
+    return {2 * c + 1: v for c, v in row.items()}
+
+
+def test_images_agree_with_eager_rows():
+    # add_image records the image of a stored row without building it;
+    # every query answers as for an echelon fed the same rows eagerly
+    rng = random.Random(40505)
+    recorded = 0
+    for _ in range(30):
+        lazy, eager = SparseEchelon(_shift_columns), SparseEchelon()
+        for row in random_rows(rng, rng.randrange(1, 6), 5):
+            lazy.add(row)
+            eager.add(row)
+        sources = sorted(lazy._rows)
+        for p in sources:
+            q = 2 * p + 1
+            if lazy.row(q) is None:
+                lazy.add_image(q, p)
+                assert eager.add(_shift_columns(eager.rows[p])) == _shift_columns(eager.rows[p])
+        recorded += len(lazy._images)
+        assert lazy.rank == eager.rank
+        top = 2 * max(sources, default=0) + 2
+        for k in range(top + 1):
+            assert lazy.pivots_below(k) == eager.pivots_below(k)
+        for vec in random_rows(rng, 6, top):
+            assert lazy.contains(vec) == eager.contains(vec)
+            assert lazy.reduce_fractions(vec) == eager.reduce_fractions(vec)
+        for p in sorted(eager.rows, reverse=True):
+            assert lazy.row(p) == eager.rows[p]
+        assert lazy.rows == eager.rows
+        assert not lazy._images
+    assert recorded > 30
+
+
+def test_image_chain_materialises_without_recursion():
+    # row(p) walks a chain of images iteratively, so a chain longer than
+    # the interpreter's recursion limit still materialises
+    length = 1500
+    ech = SparseEchelon(lambda row: {c + 1: v for c, v in row.items()})
+    ech.add({0: Fraction(2), 1: Fraction(-4)})
+    for p in range(1, length):
+        ech.add_image(p + 1, p)
+    assert ech.rank == length
+    assert len(ech._images) == length - 1
+    assert ech.row(length) == {length - 1: -1, length: 2}
+    assert not ech._images
+    assert ech.contains({length - 1: 1, length: -2})

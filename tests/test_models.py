@@ -376,6 +376,59 @@ def test_act_word_engine_rows_match_full_product(module, text):
     _assert_engine_matches_oracle(module, f, lambda label: act_word(module, {label: 1}, f), 6)
 
 
+CUSP = parse("y^2 - x^3")
+
+
+def _oracle_row(module, f):
+    if isinstance(module, DXQuotientModule):
+        return lambda label: module.row(label, f)
+    return lambda label: act_word(module, {label: 1}, f)
+
+
+@pytest.mark.parametrize("module", [
+    DXQuotientModule(CUSP), FreeWeylModule(2), LineICModule(3), KummerICModule(Fraction(1, 2)),
+], ids=lambda m: m.name)
+def test_materialised_rows_lie_in_the_span(module):
+    # Shifted rows are kept as images of their source rows until read.
+    # At every width through 6, a fresh engine (so images chain through
+    # every width before anything builds them) must materialise rows
+    # that lie in the span of row(label) over every label through that
+    # width, with the same rank: the two spans are equal.
+    # Kummer's column map falls at column 1, so it records no images.
+    row = _oracle_row(module, CUSP)
+    oracle, index = SparseEchelon(), ModuleIndex(module)
+    images = 0
+    for width in range(7):
+        for label in index.labels_of_degree(width):
+            oracle.add(index.vector(row(label)))
+        engine = CokernelEngine(module, CUSP)
+        engine.widen_to(width)
+        images += len(engine.echelon._images)
+        rows = engine.echelon.rows
+        assert len(rows) == engine.echelon.rank == oracle.rank
+        for vec in rows.values():
+            assert oracle.contains(index.vector(engine.index.combination(vec)))
+    assert (images == 0) == isinstance(module, KummerICModule)
+
+
+@pytest.mark.parametrize("module", [
+    FreeWeylModule(2), DeltaModule(2), LineICModule(3), KummerICModule(Fraction(1, 2)),
+], ids=lambda m: m.name)
+def test_actions_are_integers_where_integral(module):
+    # act gives int coefficients wherever they are integral (only
+    # Kummer's -(lam + k) is not), so integer rows stay integers; a
+    # Fraction combination still acts to Fractions
+    gens = [("x", i) for i in range(module.n)] + [("d", i) for i in range(module.n)]
+    for label in basis(module, 4):
+        for gen in gens:
+            for c in module.act(label, gen).values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (label, gen)
+        row = act_word(module, {label: 1}, CUSP)
+        assert all(type(c) is int for c in row.values())
+        assert act_word(module, {label: Fraction(1)}, CUSP) == row
+        assert all(type(c) is Fraction for c in act_word(module, {label: Fraction(1)}, CUSP).values())
+
+
 def test_shift_only_for_polynomial_divisors():
     # the shifted-row path needs an x_i that lm(f) lacks and commutes with f
     assert DXQuotientModule(parse("y^2 - x^3")).shift(((1, 0), (0, 2))) == ((1, 1), (0, 2))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dxext.parser import MAX_EXPONENT, ParseError, infer_variable_count, parse
+from dxext.parser import MAX_DEGREE, ParseError, infer_variable_count, parse
 from dxext.weyl import WeylElement
 
 
@@ -112,11 +112,28 @@ def test_str_of_parse_is_stable():
 
 def test_large_powers_only_in_closed_form():
     # one term in x alone or d alone has a closed-form power at any
-    # exponent; any other base is bounded by MAX_EXPONENT
+    # exponent; any other base is bounded by MAX_DEGREE
     assert parse("x^99999999999999999999", 1) == W(1, (99999999999999999999,), (0,))
     assert parse("(2 dx dy)^100", 2) == W(2, (0, 0), (100, 100), 2 ** 100)
-    assert len(parse(f"(x + dx)^{MAX_EXPONENT}", 1).terms) == 1089
-    for text in ("(x + dx)^100000", f"(x + dx)^{MAX_EXPONENT + 1}", "(x dx)^65", "(x + y)^65",
+    assert len(parse(f"(x + dx)^{MAX_DEGREE}", 1).terms) == 1089
+    for text in ("(x + dx)^100000", f"(x + dx)^{MAX_DEGREE + 1}", "(x dx)^65", "(x + y)^65",
                  "(x - x)^99999999999999999999", "x^2 (x + 1)^3^100"):
         with pytest.raises(ParseError, match="above"):
             parse(text, 2)
+
+
+def test_products_and_nested_powers_bounded_by_degree():
+    # Bernstein degree adds under products, so a product or power above
+    # MAX_DEGREE is refused before it is multiplied out
+    for text in ("(x + dx)^64 (x + dx)^64", "((x + dx)^16)^8", "(x + dx)^64 * x",
+                 "((x dx)^8)^5", "dx^40 x^40", "(x^99999999999999999999 + 1) y"):
+        with pytest.raises(ParseError, match=f"above {MAX_DEGREE}"):
+            parse(text, 2)
+    # within the bound they multiply out as before
+    assert parse("(x + dx)^8 (x + dx)^8", 1) == parse("((x + dx)^2)^8", 1) == parse("(x + dx)^16", 1)
+    assert len(parse("dx^32 x^32", 1).terms) == 33
+    # products of two single terms that stay one term keep their closed form
+    big = 99999999999999999999
+    assert parse(f"x^{big} y dx^{big}", 2) == W(2, (big, 1), (big, 0))
+    assert parse(f"(x^{big})^3 x", 1) == W(1, (3 * big + 1,), (0,))
+    assert parse(f"2 x^{big} * 3 dy^{big}", 2) == W(2, (big, 0), (0, big), 6)
