@@ -72,7 +72,8 @@ is left multiplication by x (L_w: the monomials without x).  On the
 line models s is the right action of x: (i, j) -> (i+1, j), one label
 per degree in L_w, and on the Kummer model (k, j) -> (k+1, j), which
 lowers the degree for k < 0; those labels are not images of a lower
-degree, so L_w holds every label with k <= 0.
+degree, so L_w holds every label with k <= 0, and the rows stored for
+the labels with k < 0 are not shifted (see CokernelEngine).
 
 Rows without a row kernel come from act_word on the primitive integer
 form of f: the models act with int coefficients wherever they are
@@ -94,7 +95,6 @@ the plain product of representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import SparseEchelon, primitive
 from .models import DXQuotientModule, act_word
@@ -116,7 +116,7 @@ __all__ = [
     "action_ext1_on_ext1",
 ]
 
-NODE_POLY_TERMS = {((1, 1), (0, 0)): Fraction(1)}
+NODE_POLY_TERMS = {((1, 1), (0, 0)): 1}
 DEFAULT_WINDOW = 3
 
 
@@ -239,12 +239,16 @@ class CokernelEngine:
     echelon row r stored during degree w-1, then the rows of the
     degree-w labels that are not s(v) for a label v of degree w-1; the
     rows of the labels s(v) are spanned by the shifted rows (see the
-    module docstring).  stored holds the pivots of the echelon rows
-    stored during the last degree, and rows only the raw rows of the
-    labels outside the image of s.  Where s keeps the column order
-    through r's pivot p (ModuleIndex.shifted_pivot) and no row pivots
-    at s(p) yet, s(r) needs no reduction: it is recorded as an image in
-    the echelon and built only when something reads it.
+    module docstring).  A row r stored for such a label v whose image
+    s(v) has degree below w (Kummer's k < 0) is not shifted: s(r) is
+    row(s(v)), already in the span through degree w-1, minus shifts of
+    rows inserted before it, so it would reduce to zero.  stored holds
+    the pivots of the echelon rows to shift at the next degree, and
+    rows only the raw rows of the labels outside the image of s.  Where
+    s keeps the column order through r's pivot p
+    (ModuleIndex.shifted_pivot) and no row pivots at s(p) yet, s(r)
+    needs no reduction: it is recorded as an image in the echelon and
+    built only when something reads it.
     """
 
     def __init__(self, module, f):
@@ -266,7 +270,7 @@ class CokernelEngine:
         self.width = -1
 
     def widen_to(self, width):
-        echelon, index = self.echelon, self.index
+        echelon, index, module = self.echelon, self.index, self.index.module
         while self.width < width:
             self.width += 1
             previous, self.rows = self.rows, {}
@@ -284,7 +288,9 @@ class CokernelEngine:
                 labels = index.labels_of_degree(self.width)
             for lab in labels:
                 vec = index.vector(self.row(lab, previous))
-                stored.append(_pivot(echelon.add(vec)))
+                pivot = _pivot(echelon.add(vec))
+                if self.shifts and module.degree(module.shift(lab)) > self.width:
+                    stored.append(pivot)
                 # keyed by the index's own label objects, so the rows held
                 # for the next degree allocate no monomials of their own
                 self.rows[lab] = index.combination(vec)

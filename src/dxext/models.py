@@ -46,10 +46,11 @@ Shipped models:
                          exp(2*pi*i*lam), lam a non-integer rational
   DXQuotientModule(f)    D/fD with canonical monomial representatives
 
-The free, delta, line and Kummer models act with int coefficients
-wherever they are integral (all but Kummer's -(lam+k)), so act_word
+Every model acts with int coefficients wherever they are integral
+and with Fractions elsewhere (Kummer's -(lam+k), some remainders of
+D/fD's division), as WeylElement stores its coefficients, so act_word
 takes integer combinations to integer combinations under an element
-with integral coefficients; D/fD acts through Fraction division.
+with integral coefficients.
 
 Right-action sign conventions on the line models follow the volume-form
 realization of a right module: x^i . dx = -i x^(i-1) on the polynomial
@@ -124,9 +125,9 @@ def act_word(module, comb, elem):
 
     Each normal-ordered monomial x^a d^b acts as the product of its
     generators, x factors first; the results are summed with the
-    monomial coefficients.  An integral coefficient multiplies as an
+    monomial coefficients.  An integral coefficient is stored as an
     int, so integer combinations acted on by an element with integral
-    coefficients stay integers, and Fraction combinations stay Fractions.
+    coefficients stay integers.
     """
     if elem.n != module.n:
         raise ValueError("variable count mismatch")
@@ -139,7 +140,7 @@ def act_word(module, comb, elem):
         for i in range(module.n):
             for _ in range(dexp[i]):
                 cur = act_combination(module, cur, ("d", i))
-        _merge(acc, cur, c.numerator if c.denominator == 1 else c)
+        _merge(acc, cur, c)
     return acc
 
 
@@ -169,7 +170,7 @@ def check_module_axioms(module, deg_bound):
     report = AxiomReport(deg_bound)
     gens = [("x", i) for i in range(module.n)] + [("d", i) for i in range(module.n)]
     for label in basis(module, deg_bound):
-        base = {label: Fraction(1)}
+        base = {label: 1}
         for gi, gj in itertools.combinations(gens, 2):
             ab = act_combination(module, act_combination(module, base, gi), gj)
             ba = act_combination(module, act_combination(module, base, gj), gi)
@@ -177,7 +178,7 @@ def check_module_axioms(module, deg_bound):
             if gi[1] == gj[1] and gi[0] != gj[0]:
                 # (m.d_i).x_i = (m.x_i).d_i + m, so the commutator of the
                 # two action orders is -m when x acts first, +m otherwise.
-                expected = {label: Fraction(-1)} if gi[0] == "x" else dict(base)
+                expected = {label: -1} if gi[0] == "x" else dict(base)
             diff = _merge(dict(ab), ba, -1)
             diff = _merge(diff, expected, -1)
             if diff:
@@ -186,7 +187,7 @@ def check_module_axioms(module, deg_bound):
             for out in module.act(label, g):
                 if module.degree(out) > module.degree(label) + 1:
                     report.violations.append(
-                        AxiomViolation(label, f"degree jump under {g}", {out: Fraction(1)})
+                        AxiomViolation(label, f"degree jump under {g}", {out: 1})
                     )
     return report
 
@@ -489,7 +490,7 @@ class DXQuotientModule:
         unit = tuple(int(j == i) for j in range(self.n))
         zero = (0,) * self.n
         factor = (unit, zero) if kind == "x" else (zero, unit)
-        product = mul_terms({label: Fraction(1)}, {factor: Fraction(1)}, self.n)
+        product = mul_terms({label: 1}, {factor: 1}, self.n)
         return divide_left(self.f.terms, product, self.n)[1]
 
     def mf_level_bound(self, f, level):

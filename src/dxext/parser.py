@@ -20,20 +20,30 @@ A power of a base with several terms is multiplied out only once it
 is added to or multiplied by something within the bound, so a nested
 power or a product of powers above it fails before any product.
 
+Degree alone does not bound the work in several variables, so every
+product is also checked, before it is taken, against MAX_TERMS: its
+operands' term pairs, capped by C(D + v, v), the number of monomials
+of degree <= D in the v generators that occur in its operands, which
+bounds the terms of a product of degree D (normal ordering only lowers
+exponents).  A power base^k is checked as its last product, base^(k-1)
+times base, with base^(k-1) counted by that bound, once it is read.
+
 Names: x1..xn and d1..dn always; for n <= 4 the aliases x,y,z,w and
 dx,dy,dz,dw as well.  Products are noncommutative, left to right.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .weyl import WeylElement
 
-__all__ = ["MAX_DEGREE", "ParseError", "parse", "infer_variable_count"]
+__all__ = ["MAX_DEGREE", "MAX_TERMS", "ParseError", "parse", "infer_variable_count"]
 
 MAX_DEGREE = 64
+MAX_TERMS = 4096
 
 
 class ParseError(ValueError):
@@ -163,7 +173,10 @@ class _Parser:
             raise ParseError(f"product of degree {degree} above {MAX_DEGREE}", pos)
         e = _value(factors[0])
         for b in factors[1:]:
-            e = e * _value(b)
+            b = _value(b)
+            degree = (e.degree() or 0) + (b.degree() or 0)
+            _bound_terms(len(e.terms) * len(b.terms), degree, (e, b), pos)
+            e = e * b
         return e
 
     def factor(self):
@@ -181,6 +194,10 @@ class _Parser:
                     f"power of degree {degree} above {MAX_DEGREE} needs a base of one "
                     "term in x alone or d alone", pos
                 )
+            if k > 1:
+                d = base.degree() or 0
+                pairs = _monomials((k - 1) * d, (base,)) * len(base.terms)
+                _bound_terms(pairs, k * d, (base,), pos)
             e = _Power(base, k) if k > 1 and len(base.terms) > 1 else base ** k
         return e
 
@@ -225,6 +242,22 @@ class _Power:
 
     def degree(self):
         return self.k * self.base.degree()
+
+
+def _monomials(degree, elems):
+    """C(degree + v, v): the monomials of degree <= degree in the v
+    generators x_i, d_i that occur in elems."""
+    gens = {j for e in elems for xexp, dexp in e.terms for j, a in enumerate(xexp + dexp) if a}
+    return math.comb(degree + len(gens), len(gens))
+
+
+def _bound_terms(pairs, degree, elems, pos):
+    """Refuse a product of elems with this many term pairs and this
+    degree when both the pairs and its monomial bound exceed MAX_TERMS."""
+    if pairs > MAX_TERMS:
+        work = min(pairs, _monomials(degree, elems))
+        if work > MAX_TERMS:
+            raise ParseError(f"product of up to {work} terms above {MAX_TERMS}", pos)
 
 
 def _value(e):

@@ -3,8 +3,10 @@
 The n-th Weyl algebra D_n is generated by x_1..x_n and d_1..d_n subject
 to d_i x_i = x_i d_i + 1, all other pairs of generators commuting.
 Elements are stored in normal order (every x to the left of every d)
-as a dict mapping (x_exponents, d_exponents) to a nonzero Fraction, so
-equality, hashing and arithmetic are exact.
+as a dict mapping (x_exponents, d_exponents) to a nonzero coefficient,
+so equality, hashing and arithmetic are exact.  A coefficient has one
+normal form: an int when it is integral, a Fraction only when it is
+not.  Integer arithmetic then never enters Fraction.
 
 Products are normal-ordered through the closed per-variable formula
 
@@ -70,6 +72,25 @@ def monomial_degree(mono, kind=Filtration.BERNSTEIN):
     if kind is Filtration.ORDER:
         return sum(dexp)
     return sum(xexp) + sum(dexp)
+
+
+def _coefficient(c):
+    """c in the normal form of a stored coefficient: an int when it is
+    integral, else a Fraction.  Any value Fraction accepts is read
+    exactly, so a float is stored as the rational it denotes."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _tidy(terms):
+    """terms, every integral Fraction coefficient replaced by its int
+    in place: the normal form of the sum or product of normal forms."""
+    for mono, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[mono] = c.numerator
+    return terms
 
 
 def _mono_mul(a, b, n):
@@ -185,21 +206,25 @@ def divide_left(f, terms, n):
     of the right ideal fD: r has no monomial divisible by lm(f), and it
     is zero exactly when terms lies in fD.  Such q and r are unique, so
     the division runs fraction-free on primitive integer forms of f and
-    terms, and q and r are rescaled once at the end.
+    terms, and q and r are rescaled once at the end, into the normal
+    form of WeylElement coefficients.
     """
     a, fi = primitive(f)
     b, ti = primitive(terms)
     s, q, r = pseudo_divide_left(fi, ti, n)
-    qs, rs = b / (a * s), b / s
-    return {m: c * qs for m, c in q.items()}, {m: c * rs for m, c in r.items()}
+    qs, rs = _coefficient(b / (a * s)), _coefficient(b / s)
+    return _tidy({m: c * qs for m, c in q.items()}), _tidy({m: c * rs for m, c in r.items()})
 
 
 class WeylElement:
     """An element of the n-th Weyl algebra with rational coefficients.
 
-    terms maps (x_exponents, d_exponents) to a nonzero Fraction.  The
-    zero element has an empty term dict.  Instances are treated as
-    immutable; all operations return new elements.
+    terms maps (x_exponents, d_exponents) to a nonzero coefficient in
+    normal form: an int when integral, else a Fraction.  The zero
+    element has an empty term dict.  The constructor validates and
+    normalizes its terms; arithmetic builds its results in normal form
+    and skips that check.  Instances are treated as immutable; all
+    operations return new elements.
     """
 
     __slots__ = ("n", "terms")
@@ -214,11 +239,19 @@ class WeylElement:
                 raise ValueError(f"exponent tuples must have length {n}")
             if any(e < 0 for e in xexp) or any(e < 0 for e in dexp):
                 raise ValueError("negative exponent")
-            c = Fraction(coeff)
+            c = _coefficient(coeff)
             if c:
                 clean[(tuple(xexp), tuple(dexp))] = c
         self.n = n
         self.terms = clean
+
+    @classmethod
+    def _of(cls, n, terms):
+        """The element with terms, which must already be in normal form."""
+        elem = cls.__new__(cls)
+        elem.n = n
+        elem.terms = terms
+        return elem
 
     # -- constructors ---------------------------------------------------
 
@@ -233,21 +266,25 @@ class WeylElement:
     @classmethod
     def scalar(cls, n, c):
         zero = (0,) * n
-        return cls(n, {(zero, zero): Fraction(c)})
+        return cls.monomial(n, zero, zero, c)
 
     @classmethod
     def monomial(cls, n, xexp, dexp, coeff=1):
-        return cls(n, {(tuple(xexp), tuple(dexp)): Fraction(coeff)})
+        xexp, dexp = tuple(xexp), tuple(dexp)
+        if n < 1 or len(xexp) != n or len(dexp) != n or min(xexp + dexp) < 0:
+            return cls(n, {(xexp, dexp): coeff})  # invalid: the constructor raises
+        c = _coefficient(coeff)
+        return cls._of(n, {(xexp, dexp): c} if c else {})
 
     @classmethod
     def x(cls, i, n):
         xe = tuple(1 if j == i else 0 for j in range(n))
-        return cls(n, {(xe, (0,) * n): Fraction(1)})
+        return cls.monomial(n, xe, (0,) * n)
 
     @classmethod
     def d(cls, i, n):
         de = tuple(1 if j == i else 0 for j in range(n))
-        return cls(n, {((0,) * n, de): Fraction(1)})
+        return cls.monomial(n, (0,) * n, de)
 
     # -- ring structure -------------------------------------------------
 
@@ -261,17 +298,17 @@ class WeylElement:
         self._check(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            nc = terms.get(mono, Fraction(0)) + c
+            nc = terms.get(mono, 0) + c
             if nc:
                 terms[mono] = nc
             else:
-                terms.pop(mono, None)
-        return WeylElement(self.n, terms)
+                del terms[mono]
+        return WeylElement._of(self.n, _tidy(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement(self.n, {m: -c for m, c in self.terms.items()})
+        return WeylElement._of(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -283,10 +320,11 @@ class WeylElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return WeylElement(self.n, {m: c * v for m, v in self.terms.items()})
+            c = _coefficient(other)
+            terms = {m: c * v for m, v in self.terms.items()} if c else {}
+            return WeylElement._of(self.n, _tidy(terms))
         self._check(other)
-        return WeylElement(self.n, mul_terms(self.terms, other.terms, self.n))
+        return WeylElement._of(self.n, _tidy(mul_terms(self.terms, other.terms, self.n)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -350,15 +388,11 @@ class WeylElement:
     def principal_symbol(self, kind=Filtration.BERNSTEIN):
         """Top filtration part as a commutative polynomial in x_i, s_i."""
         top = self.degree(kind)
-        terms = {}
-        if top is not None:
-            for mono, c in self.terms.items():
-                if monomial_degree(mono, kind) == top:
-                    terms[mono] = c
-        return SymbolPoly(self.n, terms)
+        terms = {m: c for m, c in self.terms.items() if monomial_degree(m, kind) == top}
+        return SymbolPoly._of(self.n, terms)
 
     def coefficient(self, xexp, dexp):
-        return self.terms.get((tuple(xexp), tuple(dexp)), Fraction(0))
+        return self.terms.get((tuple(xexp), tuple(dexp)), 0)
 
     # -- display ----------------------------------------------------------
 
@@ -374,7 +408,7 @@ class SymbolPoly:
 
     This is the value of a principal symbol: the class of a filtered
     element in the associated graded ring, where every d_i commutes and
-    is written s_i.
+    is written s_i.  Coefficients have WeylElement's normal form.
     """
 
     __slots__ = ("n", "terms")
@@ -382,39 +416,45 @@ class SymbolPoly:
     def __init__(self, n, terms=None):
         clean = {}
         for mono, coeff in (terms or {}).items():
-            c = Fraction(coeff)
+            c = _coefficient(coeff)
             if c:
                 clean[(tuple(mono[0]), tuple(mono[1]))] = c
         self.n = n
         self.terms = clean
 
+    @classmethod
+    def _of(cls, n, terms):
+        """The polynomial with terms, which must already be in normal form."""
+        poly = cls.__new__(cls)
+        poly.n = n
+        poly.terms = terms
+        return poly
+
     def __add__(self, other):
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            nc = terms.get(mono, Fraction(0)) + c
+            nc = terms.get(mono, 0) + c
             if nc:
                 terms[mono] = nc
             else:
-                terms.pop(mono, None)
-        return SymbolPoly(self.n, terms)
+                del terms[mono]
+        return SymbolPoly._of(self.n, _tidy(terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return SymbolPoly(self.n, {m: c * v for m, v in self.terms.items()})
+            c = _coefficient(other)
+            terms = {m: c * v for m, v in self.terms.items()} if c else {}
+            return SymbolPoly._of(self.n, _tidy(terms))
         acc = {}
         for (ax, ad), ca in self.terms.items():
             for (bx, bd), cb in other.terms.items():
-                mono = (
-                    tuple(ax[i] + bx[i] for i in range(self.n)),
-                    tuple(ad[i] + bd[i] for i in range(self.n)),
-                )
-                nc = acc.get(mono, Fraction(0)) + ca * cb
+                mono = tuple(map(add, ax, bx)), tuple(map(add, ad, bd))
+                nc = acc.get(mono, 0) + ca * cb
                 if nc:
                     acc[mono] = nc
                 else:
-                    acc.pop(mono, None)
-        return SymbolPoly(self.n, acc)
+                    del acc[mono]
+        return SymbolPoly._of(self.n, _tidy(acc))
 
     __rmul__ = __mul__
 

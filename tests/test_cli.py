@@ -8,7 +8,7 @@ import time
 import pytest
 
 from dxext.cli import build_parser, main
-from dxext.parser import MAX_DEGREE
+from dxext.parser import MAX_DEGREE, MAX_TERMS
 from dxext.verify import CheckResult
 
 
@@ -266,6 +266,16 @@ def test_product_above_max_degree_is_usage_error_at_once(capsys, alpha):
     assert time.perf_counter() - start < 1
     assert_usage_error(code, out, err)
     assert f"degree 128 above {MAX_DEGREE}" in err
+
+
+def test_power_above_max_terms_is_usage_error_at_once(capsys):
+    # degree 64 is within MAX_DEGREE, but in four generators the power
+    # would have up to C(68, 4) terms; it is refused before any product
+    start = time.perf_counter()
+    code, out, err = run(capsys, "twist", "--f", "x*y", "--alpha", "(x + y + dx + dy)^64")
+    assert time.perf_counter() - start < 1
+    assert_usage_error(code, out, err)
+    assert f"814385 terms above {MAX_TERMS}" in err
 
 
 def test_closed_form_power_still_parses(capsys):

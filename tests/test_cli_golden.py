@@ -102,6 +102,11 @@ CASES = [
     # products and nested powers bounded by their degree (usage error)
     ["twist", "--f", "x*y", "--alpha", "(x + dx)^64 (x + dx)^64"],
     ["twist", "--f", "x*y", "--alpha", "((x + dx)^16)^8"],
+    # products bounded by their terms in several variables (usage error)
+    ["twist", "--f", "x*y", "--alpha", "(x + y + dx + dy)^64"],
+    ["twist", "--f", "x*y", "--alpha", "(x + y + dx + dy)^8 (x + y + dx + dy)^8"],
+    # rational input with integral values reads and prints as integers
+    ["twist", "--f", "x*y", "--alpha", "(4/2 x*dx + 1/2 y*dy)^2"],
 ]
 
 

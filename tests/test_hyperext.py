@@ -170,6 +170,36 @@ def test_shifted_pivot_stops_where_the_column_map_falls():
     assert [index.shifted_pivot(c) for c in range(size)] == cols[:fall] + [None] * (size - fall)
 
 
+def test_no_shifted_kummer_insert_reduces_to_zero(monkeypatch):
+    # a row stored for a label (k, j) with k < 0 is not shifted, since its
+    # shift would lie in the span already; every shifted insert that is
+    # left must store a new row
+    from dxext.linalg import SparseEchelon
+
+    shifted_vecs, results = [], []
+    real_shifted, real_add = ModuleIndex.shifted, SparseEchelon.add
+
+    def shifted(self, vec):
+        out = real_shifted(self, vec)
+        shifted_vecs.append(out)
+        return out
+
+    def add(self, vec):
+        is_shift = bool(shifted_vecs) and vec is shifted_vecs[-1]
+        out = real_add(self, vec)  # may build images, through shifted
+        if is_shift:
+            results.append(out)
+        return out
+
+    monkeypatch.setattr(ModuleIndex, "shifted", shifted)
+    monkeypatch.setattr(SparseEchelon, "add", add)
+    for lam in (Fraction(1, 2), Fraction(-5, 3), Fraction(7, 3)):
+        for f in (P("x*y"), planar_model(3), P(CUSP)):
+            CokernelEngine(KummerICModule(lam), f).widen_to(11)
+    assert len(results) > 100
+    assert all(row is not None for row in results)
+
+
 def test_cusp_rows_stay_images_until_read():
     # the cusp at level 4 stores 11,446 rows; most are shifts of a row
     # one degree lower with a free pivot, kept as images and never built

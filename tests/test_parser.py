@@ -2,7 +2,7 @@
 
 import pytest
 
-from dxext.parser import MAX_DEGREE, ParseError, infer_variable_count, parse
+from dxext.parser import MAX_DEGREE, MAX_TERMS, ParseError, infer_variable_count, parse
 from dxext.weyl import WeylElement
 
 
@@ -137,3 +137,33 @@ def test_products_and_nested_powers_bounded_by_degree():
     assert parse(f"x^{big} y dx^{big}", 2) == W(2, (big, 1), (big, 0))
     assert parse(f"(x^{big})^3 x", 1) == W(1, (3 * big + 1,), (0,))
     assert parse(f"2 x^{big} * 3 dy^{big}", 2) == W(2, (big, 0), (0, big), 6)
+
+
+def test_products_bounded_by_terms(monkeypatch):
+    # in several variables a product within MAX_DEGREE can still have
+    # too many terms; it is refused before anything is multiplied, by its
+    # term pairs capped by C(D + v, v) for the v generators it contains
+    from dxext import weyl
+
+    calls = []
+    real = weyl.mul_terms
+
+    def counting(a, b, n):
+        calls.append(1)
+        return real(a, b, n)
+
+    monkeypatch.setattr(weyl, "mul_terms", counting)
+    for text in ("(x + y + dx + dy)^64", "(x + y + dx + dy)^16", "(x + y + z)^30",
+                 "((x + y + dx + dy)^4)^4"):
+        with pytest.raises(ParseError, match=f"terms above {MAX_TERMS}"):
+            parse(text)
+    assert not calls
+    # the product of two powers that pass is refused before it is taken
+    with pytest.raises(ParseError, match=f"terms above {MAX_TERMS}"):
+        parse("(x + y + dx + dy)^8 (x + y + dx + dy)^8")
+    assert len(calls) == 16  # the two powers, 8 products each
+    # C(19, 4) = 3876 monomials of degree <= 15 in x, y, dx, dy fit; only
+    # the generators that occur count, so (x + y)^64 passes in two variables
+    assert len(parse("(x + y + dx + dy)^15").terms) == 2160
+    assert len(parse("(x + y)^64", 2).terms) == 65
+    assert len(parse("(x + dx)^64", 2).terms) == 1089

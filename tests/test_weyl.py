@@ -10,8 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dxext.weyl import Filtration, SymbolPoly, WeylElement, monomial_degree
+from dxext.weyl import Filtration, SymbolPoly, WeylElement, divide_left, monomial_degree
 
 
 def apply_operator(elem, poly):
@@ -208,3 +210,85 @@ def test_power_of_one_term_needs_no_products(monkeypatch):
 
     monkeypatch.setattr(weyl, "mul_terms", counting)
     assert parse("x", 1) ** (2 ** 40) == WeylElement.monomial(1, (2 ** 40,), (0,))
+
+
+# -- one normal form for coefficients ---------------------------------------
+
+# coefficients as callers write them: ints, Fractions that may be
+# integral, and the integral ones as Fraction(k, 1) on purpose
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.integers(-6, 6).map(Fraction),
+)
+
+
+@st.composite
+def elements(draw, n=None, max_deg=2, max_terms=4):
+    n = draw(st.integers(1, 2)) if n is None else n
+    exps = st.tuples(*[st.integers(0, max_deg)] * n)
+    terms = draw(st.dictionaries(st.tuples(exps, exps), coefficients, max_size=max_terms))
+    return WeylElement(n, terms)
+
+
+def assert_normal(terms):
+    """Every coefficient is a nonzero int, or a Fraction that is not one."""
+    for c in terms.values():
+        assert c
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(n=2), elements(n=2), st.integers(0, 3), coefficients)
+def test_arithmetic_keeps_one_normal_form(a, b, k, c):
+    from dxext.parser import parse
+
+    for e in (a, b, a + b, a - b, -a, a * b, b * a, a ** k, c * a, a * c, a + c, c - a,
+              parse(str(a), 2), parse(f"({a}) * ({b})", 2)):
+        assert_normal(e.terms)
+    for kind in Filtration:
+        assert_normal(a.principal_symbol(kind).terms)
+        assert_normal((a.principal_symbol(kind) * b.principal_symbol(kind)).terms)
+    if b:
+        q, r = divide_left(b.terms, (a * b + a).terms, 2)
+        assert_normal(q)
+        assert_normal(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficients, coefficients, elements(n=2, max_terms=2))
+def test_solve_twist_keeps_one_normal_form(c1, c2, g):
+    # alpha = c1*x*dx + c2*y*dy + x*y*g is an endomorphism of D/(xy)D
+    from dxext.hyperext import solve_twist
+    from dxext.parser import parse
+
+    f = parse("x*y", 2)
+    alpha = c1 * parse("x*dx", 2) + c2 * parse("y*dy", 2) + f * g
+    end = solve_twist(f, alpha)
+    assert_normal(end.beta.terms)
+    assert alpha * f == f * end.beta
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.tuples(st.tuples(st.integers(0, 2)), st.tuples(st.integers(0, 2))),
+    st.integers(-9, 9), max_size=4,
+))
+def test_integral_fractions_and_ints_build_one_element(terms):
+    from_ints = WeylElement(1, terms)
+    from_fractions = WeylElement(1, {m: Fraction(c) for m, c in terms.items()})
+    assert from_ints == from_fractions
+    assert hash(from_ints) == hash(from_fractions)
+    assert all(type(c) is int for c in from_fractions.terms.values())
+    assert WeylElement.scalar(1, Fraction(2)) == WeylElement.scalar(1, 2) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements())
+def test_str_parses_back_to_the_element(e):
+    from dxext.parser import parse
+
+    back = parse(str(e), e.n)
+    assert back == e
+    assert back.terms == e.terms
+    assert [type(c) for c in back.terms.values()] == [type(e.terms[m]) for m in back.terms]
