@@ -23,6 +23,10 @@ def compositions(total, slots):
     if slots == 1:
         yield (total,)
         return
+    if slots == 2:  # the innermost level, most of the tuples, without recursion
+        for head in range(total + 1):
+            yield (head, total - head)
+        return
     for head in range(total + 1):
         for rest in compositions(total - head, slots - 1):
             yield (head,) + rest

@@ -95,6 +95,7 @@ the plain product of representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 
 from .linalg import SparseEchelon, primitive
 from .models import DXQuotientModule, act_word
@@ -172,25 +173,29 @@ class ModuleIndex:
         self.extend_to(d)
         return self._labels[self._through[d - 1] if d else 0 : self._through[d]]
 
-    def position(self, label):
-        if label not in self._pos:
-            self.extend_to(self.module.degree(label))
-        return self._pos[label]
-
     def vector(self, comb):
-        return {self.position(lab): c for lab, c in comb.items() if c}
+        pos = self._pos
+        try:
+            return {pos[lab]: c for lab, c in comb.items() if c}
+        except KeyError:
+            self.extend_to(max(self.module.degree(lab) for lab, c in comb.items() if c))
+            return {pos[lab]: c for lab, c in comb.items() if c}
 
     def combination(self, vec):
         return {self._labels[i]: c for i, c in vec.items()}
 
     def _shift_through(self, top):
         """The column map of module.shift, extended through column top."""
-        cols = self._shift
-        while len(cols) <= top:
-            col = self.position(self.module.shift(self._labels[len(cols)]))
-            if self._rising == len(cols) and (not cols or cols[-1] < col):
-                self._rising += 1
-            cols.append(col)
+        cols, start = self._shift, len(self._shift)
+        if start > top:
+            return cols
+        module, labels, pos = self.module, self._labels, self._pos
+        self.extend_to(module.degree(labels[top]) + 1)  # a shift raises the degree by <= 1
+        cols += [pos[module.shift(lab)] for lab in labels[start : top + 1]]
+        if self._rising == start:
+            low = max(start, 1)  # column 0 starts the increasing prefix
+            rises = list(map(gt, cols[low : top + 1], cols[low - 1 : top]))
+            self._rising = low + (rises.index(False) if False in rises else len(rises))
         return cols
 
     def shifted(self, vec):
@@ -198,15 +203,18 @@ class ModuleIndex:
         cols = self._shift_through(max(vec))
         return {cols[c]: v for c, v in vec.items()}
 
-    def shifted_pivot(self, c):
-        """The column of module.shift(label c) while the column map is
-        strictly increasing on columns 0..c, else None.
+    def shifted_pivots(self, columns):
+        """(c, the column of module.shift(label c)) for each column c,
+        with None for that column where the column map is not strictly
+        increasing on columns 0..c.
 
-        Then the largest column of shifted(r) is that column for every
-        vector r whose largest column is c.
+        Where it is given, it is the largest column of shifted(r) for
+        every vector r whose largest column is c.
         """
-        cols = self._shift_through(c)
-        return cols[c] if c < self._rising else None
+        if not columns:
+            return []
+        cols, rising = self._shift_through(max(columns)), self._rising
+        return [(c, cols[c] if c < rising else None) for c in columns]
 
     def unshifted_labels(self, d):
         """The labels of degree d that are not module.shift(v) for a label
@@ -246,7 +254,7 @@ class CokernelEngine:
     the pivots of the echelon rows to shift at the next degree, and
     rows only the raw rows of the labels outside the image of s.  Where
     s keeps the column order through r's pivot p
-    (ModuleIndex.shifted_pivot) and no row pivots at s(p) yet, s(r)
+    (ModuleIndex.shifted_pivots) and no row pivots at s(p) yet, s(r)
     needs no reduction: it is recorded as an image in the echelon and
     built only when something reads it.
     """
@@ -274,18 +282,12 @@ class CokernelEngine:
         while self.width < width:
             self.width += 1
             previous, self.rows = self.rows, {}
-            stored = []  # pivots of the rows stored, None where the span did not grow
             if self.shifts:
-                for p in self.stored:
-                    q = index.shifted_pivot(p)
-                    if q is None or echelon.row(q) is not None:
-                        q = _pivot(echelon.add(index.shifted(echelon.row(p))))
-                    else:
-                        echelon.add_image(q, p)
-                    stored.append(q)
+                # pivots of the rows stored, None where the span did not grow
+                stored = echelon.add_images(index.shifted_pivots(self.stored))
                 labels = index.unshifted_labels(self.width)
             else:
-                labels = index.labels_of_degree(self.width)
+                stored, labels = [], index.labels_of_degree(self.width)
             for lab in labels:
                 vec = index.vector(self.row(lab, previous))
                 pivot = _pivot(echelon.add(vec))

@@ -43,11 +43,11 @@ class SparseEchelon:
     rows share a pivot, and each row pivots on its largest column.
 
     image, when given, maps a row to a primitive integer row whose
-    largest column holds the same positive coefficient.  add_image(q, p)
-    adds the image of the row pivoting at p, whose largest column the
-    caller knows to be q, without building it; row(q) builds it on
-    first use and keeps it.  rows builds every image and returns the
-    {pivot: row} dict.
+    largest column holds the same positive coefficient.  add_images
+    adds the images of rows in turn: one whose largest column the caller
+    knows and no row pivots at yet is recorded without building it, and
+    row(q) builds it on first use and keeps it; any other is built and
+    added.  rows builds every image and returns the {pivot: row} dict.
     """
 
     __slots__ = ("_rows", "_images", "_pivots", "_image")
@@ -89,16 +89,43 @@ class SparseEchelon:
             del self._images[q]
         return row
 
-    def add_image(self, pivot, source):
-        """Record the image of the row pivoting at source as the row
-        pivoting at pivot, where no row pivots yet."""
-        self._images[pivot] = source
-        insort(self._pivots, pivot)
+    def add_images(self, pairs):
+        """Add the image of each row in turn, and the pivot of each row
+        stored, None where the span did not grow.
+
+        pairs holds (p, q): p the pivot of a row, q the largest column of
+        its image when the caller knows it, else None.  An image whose q
+        is free is recorded without building it; any other is built and
+        reduced by add.  The recorded pivots join the sorted pivot list
+        at the end, in one sort.
+        """
+        rows, images, recorded, out = self._rows, self._images, [], []
+        for p, q in pairs:
+            if q is None or q in rows or q in images:
+                row = self.add(self._image(self.row(p)))
+                out.append(None if row is None else max(row))
+            else:
+                images[q] = p
+                recorded.append(q)
+                out.append(q)
+        if recorded:
+            self._pivots += recorded
+            self._pivots.sort()
+        return out
 
     def residual(self, vec):
-        """Primitive integer residual of vec against the current rows."""
+        """Primitive integer residual of vec against the current rows.
+
+        vec's values are ints or Fractions; an int vector only has its
+        content divided out.
+        """
         rows, images = self._rows, self._images
-        work = primitive(vec)[1]
+        try:
+            g = math.gcd(*vec.values())
+        except TypeError:  # a Fraction entry: clear denominators first
+            work = primitive(vec)[1]
+        else:
+            work = {c: v // g for c, v in vec.items() if v}  # g == 0 only when every v is 0
         while work:
             p = max(work)
             row = rows.get(p)
@@ -120,9 +147,7 @@ class SparseEchelon:
                 else:
                     work.pop(c, None)
             if work:
-                g = 0
-                for v in work.values():
-                    g = math.gcd(g, v)
+                g = math.gcd(*work.values())
                 if g > 1:
                     work = {c: v // g for c, v in work.items()}
         return {}

@@ -393,7 +393,7 @@ class DXQuotientModule:
     next part, and skips it when lm(f)'s remaining exponents are all
     zero (no completion can then be standard).  Once a part falls below
     lm(f)'s, every completion is standard and is listed whole through
-    grading.compositions.
+    grading.compositions, straight into (xexp, dexp) pairs.
 
     row(label, elem) is the fraction-free remainder of label*elem: an
     integer term dict that is a nonzero multiple of NF(label*elem), or
@@ -433,23 +433,35 @@ class DXQuotientModule:
         live = [any(lead[k:]) for k in range(last + 1)]
         out = []
 
+        def complete(prefix, rest):
+            # every completion of prefix is standard: list them as
+            # (xexp, dexp) pairs in lexicographic order, taking the rest of
+            # the x part with a slack part that the d part then fills
+            k = len(prefix)
+            if k < n:
+                for xs in compositions(rest, n - k + 1):
+                    out.extend(zip(itertools.repeat(prefix + xs[:-1]), compositions(xs[-1], n)))
+            else:
+                xexp, dhead = prefix[:n], prefix[n:]
+                tails = compositions(rest, 2 * n - k)
+                out.extend(zip(itertools.repeat(xexp), (dhead + t for t in tails) if dhead else tails))
+
         def walk(prefix, k, rest):
             # each part in prefix is >= lead's there; a standard label
             # needs a later part below lead's, so live[k] must hold
             if k == last:
                 if rest < lead[k]:
-                    out.append(prefix + (rest,))
+                    out.append((prefix[:n], prefix[n:] + (rest,)))
                 return
             for head in range(rest + 1):
                 if head < lead[k]:
-                    start = prefix + (head,)
-                    out.extend(start + tail for tail in compositions(rest - head, last - k))
+                    complete(prefix + (head,), rest - head)
                 elif live[k + 1]:
                     walk(prefix + (head,), k + 1, rest - head)
 
         if live[0]:
             walk((), 0, d)
-        return [(exps[:n], exps[n:]) for exps in out]
+        return out
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])

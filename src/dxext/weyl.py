@@ -22,7 +22,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from operator import add, ge, neg, sub
 
 from .linalg import primitive
 
@@ -151,18 +151,24 @@ def pseudo_divide_left(f, terms, n):
     (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R) term by term: when lc(f)
     does not divide the coefficient c of the leading term of the rest,
     everything is scaled by lc/gcd(c, lc) first, so with a unit leading
-    coefficient s stays 1.  Leading terms come off a heap, so each
-    monomial's graded key is computed once.
+    coefficient s stays 1.  Only the terms lm(f) divides go on a heap,
+    which pops them in decreasing graded order, so each one's graded key
+    is computed once.  The others stay where they are and make up r: a
+    subtraction only creates terms below the one it cancels, so it never
+    reaches a larger term that lm(f) does not divide.  For a polynomial
+    f each product f_m*x^a d^b is the single monomial x^(m + a) d^b.
     """
     lead, lc = max(f.items(), key=lambda t: graded_key(t[0]))
     lead_x, lead_d = lead
+    lead_exps = lead_x + lead_d
+    polynomial = not any(map(any, (dexp for _, dexp in f)))
     # lm(f)*x^a d^b is the cancelled leading term alone unless lm(f) has
     # a d part to commute past x^a
     subtract = list(f.items()) if any(lead_d) else [t for t in f.items() if t[0] != lead]
     rest = dict(terms)
-    heap = [_heap_entry(mono) for mono in rest]
+    heap = [_heap_entry(mono) for mono in rest if all(map(ge, mono[0] + mono[1], lead_exps))]
     heapify(heap)
-    s, q, r = 1, {}, {}
+    s, q = 1, {}
     while heap:
         mono = heappop(heap)[2]
         c = rest.pop(mono, 0)
@@ -170,17 +176,24 @@ def pseudo_divide_left(f, terms, n):
             continue  # cancelled after it was queued
         xexp, dexp = mono
         qx, qd = tuple(map(sub, xexp, lead_x)), tuple(map(sub, dexp, lead_d))
-        if min(qx) < 0 or min(qd) < 0:
-            r[mono] = c
-            continue
         if c % lc:
             m = abs(lc) // math.gcd(c, lc)
             s, c = s * m, c * m
             rest = {k: v * m for k, v in rest.items()}
             q = {k: v * m for k, v in q.items()}
-            r = {k: v * m for k, v in r.items()}
         qc = c // lc
         q[(qx, qd)] = qc
+        if polynomial:
+            for (fx, _), fc in subtract:
+                pm = tuple(map(add, fx, qx)), qd
+                nc = rest.get(pm, 0) - qc * fc
+                if nc:
+                    if pm not in rest and all(map(ge, pm[0], lead_x)):
+                        heappush(heap, _heap_entry(pm))
+                    rest[pm] = nc
+                else:
+                    del rest[pm]
+            continue
         for fm, fc in subtract:
             scale = qc * fc
             for pm, k in _mono_mul(fm, (qx, qd), n).items():
@@ -188,12 +201,12 @@ def pseudo_divide_left(f, terms, n):
                     continue  # the leading term, cancelled by construction
                 nc = rest.get(pm, 0) - scale * k
                 if nc:
-                    if pm not in rest:
+                    if pm not in rest and all(map(ge, pm[0] + pm[1], lead_exps)):
                         heappush(heap, _heap_entry(pm))
                     rest[pm] = nc
                 else:
-                    rest.pop(pm, None)
-    return s, q, r
+                    del rest[pm]
+    return s, q, rest
 
 
 def divide_left(f, terms, n):
@@ -214,6 +227,13 @@ def divide_left(f, terms, n):
     s, q, r = pseudo_divide_left(fi, ti, n)
     qs, rs = _coefficient(b / (a * s)), _coefficient(b / s)
     return _tidy({m: c * qs for m, c in q.items()}), _tidy({m: c * rs for m, c in r.items()})
+
+
+def _unit(i, n):
+    """The exponent tuple of the i-th of n variables."""
+    if not 0 <= i < n:
+        raise ValueError(f"variable index {i} out of range 0..{n - 1}")
+    return tuple(int(j == i) for j in range(n))
 
 
 class WeylElement:
@@ -278,13 +298,11 @@ class WeylElement:
 
     @classmethod
     def x(cls, i, n):
-        xe = tuple(1 if j == i else 0 for j in range(n))
-        return cls.monomial(n, xe, (0,) * n)
+        return cls.monomial(n, _unit(i, n), (0,) * n)
 
     @classmethod
     def d(cls, i, n):
-        de = tuple(1 if j == i else 0 for j in range(n))
-        return cls.monomial(n, (0,) * n, de)
+        return cls.monomial(n, (0,) * n, _unit(i, n))
 
     # -- ring structure -------------------------------------------------
 

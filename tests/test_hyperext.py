@@ -136,9 +136,9 @@ def test_cusp_echelon_pinned(level, width, rank, nnz, bits):
 
 def _shift_pivot_hits(engine):
     """Rows whose pivot the column lookup maps, after checking each one."""
-    index, hits = engine.index, 0
-    for p, row in engine.echelon.rows.items():
-        q = index.shifted_pivot(p)
+    index, hits, rows = engine.index, 0, engine.echelon.rows
+    for p, q in index.shifted_pivots(list(rows)):
+        row = rows[p]
         if q is not None:
             assert q == max(index.shifted(row)), p
             hits += 1
@@ -167,7 +167,13 @@ def test_shifted_pivot_stops_where_the_column_map_falls():
     cols = [max(index.shifted({c: 1})) for c in range(size)]
     fall = next(c for c in range(1, size) if cols[c] < cols[c - 1])
     assert fall == 1
-    assert [index.shifted_pivot(c) for c in range(size)] == cols[:fall] + [None] * (size - fall)
+    pivots = [q for _, q in index.shifted_pivots(list(range(size)))]
+    assert pivots == cols[:fall] + [None] * (size - fall)
+    # the column map built in one call agrees with the one built column
+    # by column
+    fresh = ModuleIndex(KummerICModule(Fraction(1, 2)))
+    fresh.extend_to(4)
+    assert [q for _, q in fresh.shifted_pivots(list(range(size)))] == pivots
 
 
 def test_no_shifted_kummer_insert_reduces_to_zero(monkeypatch):

@@ -169,22 +169,24 @@ def _shift_columns(row):
 
 
 def test_images_agree_with_eager_rows():
-    # add_image records the image of a stored row without building it;
-    # every query answers as for an echelon fed the same rows eagerly
+    # add_images records the image of a stored row without building it
+    # when its pivot is given and free, and adds it otherwise; every query,
+    # pivots_below(k) at every k among them, answers as for an echelon fed
+    # the same rows one add (one pivot insert) at a time
     rng = random.Random(40505)
-    recorded = 0
+    recorded = reduced = 0
     for _ in range(30):
         lazy, eager = SparseEchelon(_shift_columns), SparseEchelon()
         for row in random_rows(rng, rng.randrange(1, 6), 5):
             lazy.add(row)
             eager.add(row)
         sources = sorted(lazy._rows)
-        for p in sources:
-            q = 2 * p + 1
-            if lazy.row(q) is None:
-                lazy.add_image(q, p)
-                assert eager.add(_shift_columns(eager.rows[p])) == _shift_columns(eager.rows[p])
+        rng.shuffle(sources)
+        pairs = [(p, None if rng.random() < 0.3 else 2 * p + 1) for p in sources]
+        want = [_pivot(eager.add(_shift_columns(eager.rows[p]))) for p in sources]
+        assert lazy.add_images(pairs) == want
         recorded += len(lazy._images)
+        reduced += sum(q is None for _, q in pairs)
         assert lazy.rank == eager.rank
         top = 2 * max(sources, default=0) + 2
         for k in range(top + 1):
@@ -196,7 +198,24 @@ def test_images_agree_with_eager_rows():
             assert lazy.row(p) == eager.rows[p]
         assert lazy.rows == eager.rows
         assert not lazy._images
-    assert recorded > 30
+    assert recorded > 30 and reduced > 10
+
+
+def _pivot(row):
+    return None if row is None else max(row)
+
+
+def test_int_vector_enters_as_its_fraction_copy():
+    # an int vector skips the common denominator: its content and its
+    # explicit zero entries go as they do for the same vector as Fractions
+    vec = {0: 6, 2: 0, 3: -4, 5: 10}
+    ints, fractions = SparseEchelon(), SparseEchelon()
+    stored = ints.add(vec)
+    assert stored == fractions.add({c: Fraction(v) for c, v in vec.items()}) == {0: 3, 3: -2, 5: 5}
+    assert ints.residual({1: 4, 4: 0}) == {1: 1}
+    assert ints.residual({2: 0}) == {}
+    probe = {0: 9, 3: -6, 5: 15, 1: 0}
+    assert ints.contains(probe) and fractions.contains(probe)
 
 
 def test_image_chain_materialises_without_recursion():
@@ -205,8 +224,7 @@ def test_image_chain_materialises_without_recursion():
     length = 1500
     ech = SparseEchelon(lambda row: {c + 1: v for c, v in row.items()})
     ech.add({0: Fraction(2), 1: Fraction(-4)})
-    for p in range(1, length):
-        ech.add_image(p + 1, p)
+    assert ech.add_images([(p, p + 1) for p in range(1, length)]) == list(range(2, length + 1))
     assert ech.rank == length
     assert len(ech._images) == length - 1
     assert ech.row(length) == {length - 1: -1, length: 2}

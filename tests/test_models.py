@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dxext import models
@@ -22,7 +22,7 @@ from dxext.models import (
     label_ints,
 )
 from dxext.parser import parse
-from dxext.weyl import WeylElement, divide_left, graded_key
+from dxext.weyl import WeylElement, divide_left, graded_key, pseudo_divide_left
 
 
 def all_models():
@@ -65,6 +65,26 @@ def test_labels_by_degree(module):
         seen.update(labels)
         concatenated += labels
     assert basis(module, 6) == concatenated
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("y^2 - x^3", 2), ("x*y", 2), ("x + dx", 1), ("x*y*z", 3), ("x*dx + y", 2),
+     ("x^2*y*dy + dx", 2), ("y*dx*dy", 2), ("3", 1)],
+)
+def test_dx_labels_are_the_standard_monomials_in_order(text, n):
+    # labels(d) lists exactly the degree-d monomials that lm(f) does not
+    # divide, in the lexicographic order of grading.monomials_of_degree
+    from dxext.grading import monomials_of_degree
+
+    module = DXQuotientModule(parse(text, n))
+    lead_x, lead_d = max(module.f.terms, key=graded_key)
+    for d in range(8):
+        want = [
+            (xexp, dexp) for xexp, dexp in monomials_of_degree(n, d)
+            if not all(a >= b for a, b in zip(xexp + dexp, lead_x + lead_d))
+        ]
+        assert module.labels(d) == want
 
 
 @pytest.mark.parametrize("module", label_models(), ids=lambda m: m.name)
@@ -507,6 +527,50 @@ def test_divide_left_identity(problem):
     for xexp, dexp in r:
         divisible = all(a >= b for a, b in zip(xexp + dexp, lead_x + lead_d))
         assert not divisible, (xexp, dexp)
+
+
+@st.composite
+def _polynomial_division_problems(draw):
+    # an integer polynomial divisor whose leading coefficient is not a
+    # unit, and integer terms with x and d parts
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.integers(-6, 6).filter(bool)
+    zero = (0,) * n
+    f = {(xexp, zero): c for xexp, c in draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)).items()}
+    f[max(f, key=graded_key)] = draw(st.sampled_from([2, -2, 3, -3, 4, 6]))
+    terms = draw(st.dictionaries(st.tuples(exps, exps), coeffs, min_size=1, max_size=8))
+    return n, f, terms
+
+
+CUSP_LIKE = {((3, 0), (0, 0)): -3, ((0, 2), (0, 0)): 2, ((1, 0), (0, 0)): 1}  # 2y^2 - 3x^3 + x
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_polynomial_division_problems())
+@example((2, CUSP_LIKE, {((4, 1), (0, 1)): 1, ((3, 0), (2, 0)): 5, ((0, 3), (0, 0)): -2}))
+def test_pseudo_divide_left_by_polynomial(problem):
+    # s*terms == f*q + r in the Weyl algebra, s > 0, and lm(f) divides no
+    # monomial of r, on integer dicts throughout
+    n, f, terms = problem
+    s, q, r = pseudo_divide_left(f, terms, n)
+    assert s > 0
+    assert all(type(c) is int and c for c in [*q.values(), *r.values()])
+    F, Q, R = WeylElement(n, f), WeylElement(n, q), WeylElement(n, r)
+    assert WeylElement(n, terms) * s == F * Q + R
+    lead_x, _ = max(f, key=graded_key)
+    for xexp, _ in r:
+        assert not all(a >= b for a, b in zip(xexp, lead_x)), xexp
+
+
+def test_pseudo_divide_left_scales_when_lc_does_not_divide():
+    # lc(f) = -3 does not divide the leading coefficient 1, so everything
+    # is scaled by 3 once; the second quotient term needs no scaling
+    terms = {((4, 1), (0, 1)): 1, ((3, 0), (0, 0)): 6}
+    s, q, r = pseudo_divide_left(CUSP_LIKE, terms, 2)
+    assert s == 3
+    assert WeylElement(2, terms) * 3 == WeylElement(2, CUSP_LIKE) * WeylElement(2, q) + WeylElement(2, r)
+    assert not any(xexp[0] >= 3 for xexp, _ in r)
 
 
 def test_act_combination_linear():

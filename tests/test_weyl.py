@@ -175,6 +175,15 @@ def test_variable_count_mismatch_rejected():
         WeylElement.x(0, 1) * WeylElement.x(0, 2)
 
 
+@pytest.mark.parametrize("i", [-1, 2, 5])
+@pytest.mark.parametrize("make", [WeylElement.x, WeylElement.d], ids=["x", "d"])
+def test_generator_index_out_of_range_rejected(make, i):
+    # an index outside 0..n-1 names no variable; it used to give 1
+    with pytest.raises(ValueError, match="out of range"):
+        make(i, 2)
+    assert make(1, 2) != WeylElement.one(2)
+
+
 def test_str_roundtrip_through_parser():
     from dxext.parser import parse
 
