@@ -94,7 +94,10 @@ the plain product of representatives.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import gt
 
 from .linalg import SparseEchelon, primitive
@@ -184,6 +187,10 @@ class ModuleIndex:
     def combination(self, vec):
         return {self._labels[i]: c for i, c in vec.items()}
 
+    def degree_of(self, column):
+        """The label degree of a numbered column."""
+        return bisect_right(self._through, column)
+
     def _shift_through(self, top):
         """The column map of module.shift, extended through column top."""
         cols, start = self._shift, len(self._shift)
@@ -225,10 +232,6 @@ class ModuleIndex:
         return [lab for k, lab in enumerate(labels, first) if k not in image]
 
 
-def _pivot(row):
-    return None if row is None else max(row)
-
-
 class CokernelEngine:
     """Incremental echelon of the rows row(v) = v*f of M/Mf.
 
@@ -236,9 +239,10 @@ class CokernelEngine:
     act_word on the primitive integer form of f.  They are added for
     whole label degrees (width = largest label degree included), and
     the kernel is handed the rows of the previous degree, the only ones
-    kept.  Pivots are trailing (largest column), and columns are
-    numbered degree-major, so the dimension of the span inside F_m is
-    the number of pivots below the size of the degree-m prefix, at every
+    kept.  Every row pivots on its largest column and the index numbers
+    columns degree by degree, so the dimension of the span inside F_m is
+    the number of pivots of label degree <= m; counts[d] counts those of
+    degree d, from every pivot add_images and add return, at every
     widening stage, from one shared elimination.
 
     When the module has a shift s (one-to-one on labels, raising the
@@ -275,6 +279,7 @@ class CokernelEngine:
         self.echelon = SparseEchelon(self.index.shifted if self.shifts else None)
         self.rows = {}  # {label: row} built by the row kernel in the last label degree
         self.stored = []  # pivots of the echelon rows stored during the last label degree
+        self.counts = Counter()  # {label degree: number of pivot columns of that degree}
         self.width = -1
 
     def widen_to(self, width):
@@ -284,26 +289,28 @@ class CokernelEngine:
             previous, self.rows = self.rows, {}
             if self.shifts:
                 # pivots of the rows stored, None where the span did not grow
-                stored = echelon.add_images(index.shifted_pivots(self.stored))
+                pivots = echelon.add_images(index.shifted_pivots(self.stored))
                 labels = index.unshifted_labels(self.width)
             else:
-                stored, labels = [], index.labels_of_degree(self.width)
+                pivots, labels = [], index.labels_of_degree(self.width)
+            pivots = [p for p in pivots if p is not None]
+            stored = pivots[:]
             for lab in labels:
                 vec = index.vector(self.row(lab, previous))
-                pivot = _pivot(echelon.add(vec))
-                if self.shifts and module.degree(module.shift(lab)) > self.width:
-                    stored.append(pivot)
+                row = echelon.add(vec)
+                if row is not None:
+                    pivots.append(max(row))
+                    if self.shifts and module.degree(module.shift(lab)) > self.width:
+                        stored.append(pivots[-1])
                 # keyed by the index's own label objects, so the rows held
                 # for the next degree allocate no monomials of their own
                 self.rows[lab] = index.combination(vec)
-            self.stored = [p for p in stored if p is not None]
+            self.stored = stored
+            self.counts.update(map(index.degree_of, pivots))
 
     def level_dims(self, max_deg):
-        out = []
-        for m in range(max_deg + 1):
-            prefix = self.index.prefix_size(m)
-            out.append(prefix - self.echelon.pivots_below(prefix))
-        return out
+        below = accumulate(self.counts[m] for m in range(max_deg + 1))
+        return [self.index.prefix_size(m) - b for m, b in enumerate(below)]
 
     def ext1_levels(self, max_deg, start, window):
         """Ext^1 levels through max_deg, and the generator bound used.
@@ -425,7 +432,7 @@ def solve_twist(f, alpha):
     _require_poly(f)
     if alpha.n != f.n:
         raise ValueError("variable count mismatch")
-    beta, rest = divide_left(f.terms, (alpha * f).terms, f.n)
+    beta, rest = divide_left(f.terms, (alpha * f).terms)
     if rest:
         raise NoTwistSolution(f"{alpha} * {f} is not a left multiple of {f}")
     end = EndElement(alpha, WeylElement(f.n, beta))

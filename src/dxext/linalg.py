@@ -4,19 +4,15 @@ Vectors are dicts mapping column index to a nonzero coefficient.  Ranks
 and span intersections run fraction-free on primitive integer rows
 (content divided out, so coefficients stay small).
 
-SparseEchelon keeps one row per pivot column.  The pivot is the largest
-column of the row, which makes prefix queries exact: with columns
-enumerated degree by degree, the number of rows whose pivot falls
-inside the first k columns equals the dimension of the intersection of
-the span with that coordinate prefix.  A row is either stored, or
-recorded as the image of another row under a fixed column map and
-built from it only when a reduction or a reader of rows needs it.
+SparseEchelon keeps one row per pivot column, the largest column of
+the row.  A row is either stored, or recorded as the image of another
+row under a fixed column map and built from it only when a reduction
+or a reader of rows needs it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from fractions import Fraction
 
 __all__ = ["SparseEchelon", "primitive"]
@@ -50,12 +46,11 @@ class SparseEchelon:
     added.  rows builds every image and returns the {pivot: row} dict.
     """
 
-    __slots__ = ("_rows", "_images", "_pivots", "_image")
+    __slots__ = ("_rows", "_images", "_image")
 
     def __init__(self, image=None):
         self._rows = {}  # {pivot: row}, the rows built so far
         self._images = {}  # {pivot: pivot of the row it is the image of}
-        self._pivots = []  # sorted pivot columns
         self._image = image
 
     @property
@@ -96,21 +91,17 @@ class SparseEchelon:
         pairs holds (p, q): p the pivot of a row, q the largest column of
         its image when the caller knows it, else None.  An image whose q
         is free is recorded without building it; any other is built and
-        reduced by add.  The recorded pivots join the sorted pivot list
-        at the end, in one sort.
+        reduced by add.  The echelon keeps no pivot order, so a caller
+        that counts pivots counts the ones returned here and by add.
         """
-        rows, images, recorded, out = self._rows, self._images, [], []
+        rows, images, out = self._rows, self._images, []
         for p, q in pairs:
             if q is None or q in rows or q in images:
                 row = self.add(self._image(self.row(p)))
                 out.append(None if row is None else max(row))
             else:
                 images[q] = p
-                recorded.append(q)
                 out.append(q)
-        if recorded:
-            self._pivots += recorded
-            self._pivots.sort()
         return out
 
     def residual(self, vec):
@@ -166,16 +157,10 @@ class SparseEchelon:
         if r[p] < 0:
             r = {c: -v for c, v in r.items()}
         self._rows[p] = r
-        insort(self._pivots, p)
         return r
 
     def contains(self, vec):
         return not self.residual(vec)
-
-    def pivots_below(self, k):
-        """Number of pivot columns < k, which equals
-        dim(span intersected with coordinates 0..k-1)."""
-        return bisect_left(self._pivots, k)
 
     def reduce_fractions(self, vec):
         """Exact Fraction residual (canonical representative modulo the span)."""

@@ -472,7 +472,7 @@ class DXQuotientModule:
 
     def reduce_element(self, elem):
         """Canonical representative of elem modulo fD as a combination."""
-        return divide_left(self.f.terms, elem.terms, self.n)[1]
+        return divide_left(self.f.terms, elem.terms)[1]
 
     def row(self, label, elem, previous=None):
         """Integer terms: a multiple of NF(label*elem), nonzero iff that is.
@@ -492,18 +492,18 @@ class DXQuotientModule:
             }
             if not self._lead[i]:
                 return shifted
-            return pseudo_divide_left(self._f_ints, shifted, self.n)[2]
+            return pseudo_divide_left(self._f_ints, shifted)[2]
         ints = self._f_ints if elem.terms == self.f.terms else primitive(elem.terms)[1]
-        product = mul_terms({label: 1}, ints, self.n)
-        return pseudo_divide_left(self._f_ints, product, self.n)[2]
+        product = mul_terms({label: 1}, ints)
+        return pseudo_divide_left(self._f_ints, product)[2]
 
     def act(self, label, gen):
         kind, i = gen
         unit = tuple(int(j == i) for j in range(self.n))
         zero = (0,) * self.n
         factor = (unit, zero) if kind == "x" else (zero, unit)
-        product = mul_terms({label: 1}, {factor: 1}, self.n)
-        return divide_left(self.f.terms, product, self.n)[1]
+        product = mul_terms({label: 1}, {factor: 1})
+        return divide_left(self.f.terms, product)[1]
 
     def mf_level_bound(self, f, level):
         return None  # no a-priori bound for sums v*f + f*h in the quotient

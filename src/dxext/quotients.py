@@ -32,6 +32,7 @@ from itertools import product
 from .grading import compositions
 
 __all__ = [
+    "MAX_ORDER",
     "DiagonalGroupAction",
     "Character",
     "GradedDims",
@@ -48,12 +49,18 @@ __all__ = [
 ]
 
 
+# The largest N, and the largest generated subgroup, a group may have:
+# the Molien oracle's work grows with N times the group size.
+MAX_ORDER = 256
+
+
 @dataclass(frozen=True)
 class DiagonalGroupAction:
     """A finite abelian group acting diagonally on C^n.
 
     ``order`` is the common modulus N; each generator is an exponent
-    vector in (Z/N)^n, acting on x_i by zeta_N^{v_i}.
+    vector in (Z/N)^n, acting on x_i by zeta_N^{v_i}.  N and the size of
+    the generated subgroup are at most MAX_ORDER.
     """
 
     order: int
@@ -63,6 +70,8 @@ class DiagonalGroupAction:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("group order must be positive")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"group order {self.order} is above MAX_ORDER = {MAX_ORDER}")
         if self.n < 1:
             raise ValueError("need at least one variable")
         gens = []
@@ -74,9 +83,6 @@ class DiagonalGroupAction:
                 )
             gens.append(g)
         object.__setattr__(self, "generators", tuple(gens))
-
-    def elements(self):
-        """All exponent vectors of the generated subgroup of (Z/N)^n."""
         seen = {(0,) * self.n}
         frontier = [(0,) * self.n]
         while frontier:
@@ -84,13 +90,19 @@ class DiagonalGroupAction:
             for g in self.generators:
                 nxt = tuple((a + b) % self.order for a, b in zip(w, g))
                 if nxt not in seen:
+                    if len(seen) == MAX_ORDER:
+                        raise ValueError(f"the generated subgroup exceeds MAX_ORDER = {MAX_ORDER}")
                     seen.add(nxt)
                     frontier.append(nxt)
-        return sorted(seen)
+        object.__setattr__(self, "_elements", sorted(seen))  # enumerated once
+
+    def elements(self):
+        """All exponent vectors of the generated subgroup of (Z/N)^n."""
+        return list(self._elements)
 
     @property
     def group_size(self):
-        return len(self.elements())
+        return len(self._elements)
 
     @property
     def is_trivial(self):

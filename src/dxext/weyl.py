@@ -93,7 +93,7 @@ def _tidy(terms):
     return terms
 
 
-def _mono_mul(a, b, n):
+def _mono_mul(a, b):
     """Normal-ordered product of two monomials as a dict of terms.
 
     a = x^ax d^ad and b = x^bx d^bd; commuting d^ad past x^bx produces one
@@ -115,13 +115,13 @@ def _mono_mul(a, b, n):
     return out
 
 
-def mul_terms(a, b, n):
+def mul_terms(a, b):
     """Normal-ordered product of two term dicts, as a term dict."""
     acc = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
             c = ca * cb
-            for mono, k in _mono_mul(ma, mb, n).items():
+            for mono, k in _mono_mul(ma, mb).items():
                 nc = acc.get(mono, 0) + c * k
                 if nc:
                     acc[mono] = nc
@@ -143,7 +143,7 @@ def _heap_entry(mono):
     return -sum(xexp) - sum(dexp), tuple(map(neg, xexp + dexp)), mono
 
 
-def pseudo_divide_left(f, terms, n):
+def pseudo_divide_left(f, terms):
     """Fraction-free left division by f on integer term dicts.
 
     Returns (s, q, r) with s*terms = f*q + r, s a positive integer and
@@ -196,7 +196,7 @@ def pseudo_divide_left(f, terms, n):
             continue
         for fm, fc in subtract:
             scale = qc * fc
-            for pm, k in _mono_mul(fm, (qx, qd), n).items():
+            for pm, k in _mono_mul(fm, (qx, qd)).items():
                 if pm == mono:
                     continue  # the leading term, cancelled by construction
                 nc = rest.get(pm, 0) - scale * k
@@ -209,7 +209,7 @@ def pseudo_divide_left(f, terms, n):
     return s, q, rest
 
 
-def divide_left(f, terms, n):
+def divide_left(f, terms):
     """Left division by f: (q, r) with terms = f*q + r, as term dicts.
 
     Each step cancels the leading term (in graded order) of the rest
@@ -224,7 +224,7 @@ def divide_left(f, terms, n):
     """
     a, fi = primitive(f)
     b, ti = primitive(terms)
-    s, q, r = pseudo_divide_left(fi, ti, n)
+    s, q, r = pseudo_divide_left(fi, ti)
     qs, rs = _coefficient(b / (a * s)), _coefficient(b / s)
     return _tidy({m: c * qs for m, c in q.items()}), _tidy({m: c * rs for m, c in r.items()})
 
@@ -342,7 +342,7 @@ class WeylElement:
             terms = {m: c * v for m, v in self.terms.items()} if c else {}
             return WeylElement._of(self.n, _tidy(terms))
         self._check(other)
-        return WeylElement._of(self.n, _tidy(mul_terms(self.terms, other.terms, self.n)))
+        return WeylElement._of(self.n, _tidy(mul_terms(self.terms, other.terms)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

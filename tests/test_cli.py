@@ -9,6 +9,7 @@ import pytest
 
 from dxext.cli import build_parser, main
 from dxext.parser import MAX_DEGREE, MAX_TERMS
+from dxext.quotients import MAX_ORDER
 from dxext.verify import CheckResult
 
 
@@ -299,6 +300,28 @@ def test_malformed_group_json_is_usage_error(capsys, group):
         capsys, "quotient-isotypic", "--group", group, "--character", "chi:1",
         "--max-deg", "2",
     ))
+
+
+def test_group_order_above_max_order_is_usage_error_at_once(capsys):
+    # the order is refused before any group element is enumerated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quotient-rend", "--group", "cyclic:1000000000:1,1",
+                         "--max-deg", "2")
+    assert time.perf_counter() - start < 1
+    assert_usage_error(code, out, err)
+    assert f"group order 1000000000 is above MAX_ORDER = {MAX_ORDER}" in err
+
+
+def test_generated_subgroup_above_max_order_is_usage_error(capsys):
+    # N = 200 is within the cap, but the two generators generate all of
+    # (Z/200)^2; enumeration stops at the cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quotient-isotypic", "--group",
+                         '{"order":200,"generators":[[1,0],[0,1]]}', "--character", "chi:1,0",
+                         "--max-deg", "2")
+    assert time.perf_counter() - start < 1
+    assert_usage_error(code, out, err)
+    assert f"generated subgroup exceeds MAX_ORDER = {MAX_ORDER}" in err
 
 
 def curve_json(points, local):

@@ -107,6 +107,10 @@ CASES = [
     ["twist", "--f", "x*y", "--alpha", "(x + y + dx + dy)^8 (x + y + dx + dy)^8"],
     # rational input with integral values reads and prints as integers
     ["twist", "--f", "x*y", "--alpha", "(4/2 x*dx + 1/2 y*dy)^2"],
+    # groups bounded by MAX_ORDER, in N and in the generated subgroup (usage error)
+    ["quotient-rend", "--group", "cyclic:1000000000:1,1", "--max-deg", "2"],
+    ["quotient-cech", "--group", '{"order":20,"generators":[[1,0],[0,1]]}',
+     "--character", "chi:0,0", "--max-deg", "2"],
 ]
 
 

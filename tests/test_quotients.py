@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from dxext.quotients import (
+    MAX_ORDER,
     Character,
     DiagonalGroupAction,
     GradedDims,
@@ -54,6 +55,17 @@ def test_group_basics():
     assert not g.has_pseudo_reflection()
     trivial = DiagonalGroupAction(order=1, generators=((0, 0),), n=2)
     assert trivial.is_trivial and trivial.group_size == 1
+
+
+def test_group_size_bounded_by_max_order():
+    # N and the generated subgroup may each reach MAX_ORDER, not exceed it
+    assert MAX_ORDER == 256
+    assert cyclic(MAX_ORDER, 1, 1).group_size == MAX_ORDER
+    assert DiagonalGroupAction(16, ((1, 0), (0, 1)), 2).group_size == MAX_ORDER
+    with pytest.raises(ValueError, match="group order 257 is above MAX_ORDER"):
+        cyclic(MAX_ORDER + 1, 1, 1)
+    with pytest.raises(ValueError, match="generated subgroup exceeds MAX_ORDER"):
+        DiagonalGroupAction(17, ((1, 0), (0, 1)), 2)
 
 
 def test_pseudo_reflection_detection():
