@@ -31,22 +31,20 @@ integers: each row is an integer vector that is a nonzero multiple of
 NF(g*f), not NF itself.  The echelon stores every row as its primitive
 integer form with a positive pivot, which is the same for any nonzero
 multiple, so ranks, pivots, stored rows and every reduced
-representative are those of the NF rows.  Most rows are built from the
-previous degree's rows by x-shift: when the divisor of D/fD is a
-polynomial it commutes with x_i, so for g = x_i*g'
+representative are those of the NF rows.  When the divisor of D/fD is
+a polynomial, f*x^a*d^b lies in fD, so for g = x^a*d^b
 
-  NF(g*f) = NF(x_i*NF(g'*f)),
+  NF(g*f) = sum_{0 < k <= b} C(b,k) * NF(x^a * d^k f) * d^(b-k),
 
-and the row of g is x_i times the row of g', divided again.  Labels
-with no x factor, and every label when the divisor has a d part, take
-the full product g*f.  The engine adds rows one whole label degree at
-a time and keeps only the last degree's rows for the next.
+a sum over f's partial derivatives d^k f: a row needs no Weyl product
+and no other row, and the module keeps each NF(x^a * d^k f).  When the
+divisor has a d part, every label takes the full product g*f.
 
-When the model has a shift, the engine goes one step further and
-shifts its echelon rows.  A shift s is the label map of a one-to-one
-linear map of the module that takes each label to one label, raises
-the degree by at most one and commutes with right multiplication by f,
-so s(v*f) = s(v)*f: s maps rows to rows, and s(S_(w-1)) lies in S_w.
+When the model has a shift, the engine also shifts its echelon rows.
+A shift s is the label map of a one-to-one linear map of the module
+that takes each label to one label, raises the degree by at most one
+and commutes with right multiplication by f, so s(v*f) = s(v)*f: s
+maps rows to rows, and s(S_(w-1)) lies in S_w.
 With S_w the span after label degree w, and L_w the degree-w labels
 that are not s of a degree w-1 label,
 
@@ -67,9 +65,10 @@ the vectors fed to the echelon change.
 When the divisor of D/fD is a polynomial whose lm misses a variable
 x_i, s is left multiplication by x_i: it maps standard monomials to
 standard monomials, so x_i*NF(h) = NF(x_i*h) with no division at all,
-and L_w holds the degree-w labels without x_i.  On the free module s
-is left multiplication by x (L_w: the monomials without x).  On the
-line models s is the right action of x: (i, j) -> (i+1, j), one label
+and L_w holds the degree-w labels without x_i; ModuleIndex reads its
+column map from label order.  On the free module s is left
+multiplication by x (L_w: the monomials without x).  On the line
+models s is the right action of x: (i, j) -> (i+1, j), one label
 per degree in L_w, and on the Kummer model (k, j) -> (k+1, j), which
 lowers the degree for k < 0; those labels are not images of a lower
 degree, so L_w holds every label with k <= 0, and the rows stored for
@@ -97,7 +96,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import gt
 
 from .linalg import SparseEchelon, primitive
@@ -148,7 +147,14 @@ class ModuleIndex:
     For a module with a shift it also keeps the column map of the
     shift, extended on demand, and the length of its longest strictly
     increasing prefix: on those columns the shift keeps the order of
-    columns, so it maps a row's pivot to its image's pivot.
+    columns, so it maps a row's pivot to its image's pivot.  When the
+    shift is left multiplication by x_i (module.shift_x: D/fD and the
+    free module), the labels of degree e map in order onto the labels
+    of degree e + 1 with a positive x_i exponent, so extend_to fills the
+    map one degree at a time from label order, with no shift call and
+    no lookup, from the same int objects _pos holds; the whole map is
+    increasing, and the unshifted labels are those with no x_i.  Any
+    other shift (the line and Kummer models) is mapped label by label.
     """
 
     def __init__(self, module):
@@ -158,13 +164,19 @@ class ModuleIndex:
         self._through = []  # label count through each degree
         self._shift = []  # column of module.shift(label) for each column
         self._rising = 0  # _shift[:_rising] is strictly increasing
+        self._x = getattr(module, "shift_x", None)
 
     def extend_to(self, degree):
+        labels, x = self._labels, self._x
         for d in range(len(self._through), degree + 1):
-            for lab in self.module.labels(d):
-                self._pos[lab] = len(self._labels)
-                self._labels.append(lab)
-            self._through.append(len(self._labels))
+            new = self.module.labels(d)
+            cols = list(range(len(labels), len(labels) + len(new)))
+            self._pos.update(zip(new, cols))
+            labels += new
+            self._through.append(len(labels))
+            if x is not None:  # the images of the degree d - 1 labels
+                self._shift += compress(cols, [lab[0][x] for lab in new])
+                self._rising = len(self._shift)
 
     def prefix_size(self, m):
         _require_degree(m)
@@ -196,6 +208,9 @@ class ModuleIndex:
         cols, start = self._shift, len(self._shift)
         if start > top:
             return cols
+        if self._x is not None:
+            self.extend_to(self.degree_of(top) + 1)
+            return cols
         module, labels, pos = self.module, self._labels, self._pos
         self.extend_to(module.degree(labels[top]) + 1)  # a shift raises the degree by <= 1
         cols += [pos[module.shift(lab)] for lab in labels[start : top + 1]]
@@ -225,8 +240,10 @@ class ModuleIndex:
 
     def unshifted_labels(self, d):
         """The labels of degree d that are not module.shift(v) for a label
-        v of degree d - 1, found through the cached column map."""
+        v of degree d - 1."""
         labels = self.labels_of_degree(d)
+        if self._x is not None:
+            return [lab for lab in labels if not lab[0][self._x]]
         lower, first = (self._through[d - 2] if d > 1 else 0), (self._through[d - 1] if d else 0)
         image = self.shifted(dict.fromkeys(range(lower, first))) if lower < first else {}
         return [lab for k, lab in enumerate(labels, first) if k not in image]
@@ -237,11 +254,10 @@ class CokernelEngine:
 
     Rows come from the model's row kernel when it has one, else from
     act_word on the primitive integer form of f.  They are added for
-    whole label degrees (width = largest label degree included), and
-    the kernel is handed the rows of the previous degree, the only ones
-    kept.  Every row pivots on its largest column and the index numbers
-    columns degree by degree, so the dimension of the span inside F_m is
-    the number of pivots of label degree <= m; counts[d] counts those of
+    whole label degrees (width = largest label degree included).  Every
+    row pivots on its largest column and the index numbers columns
+    degree by degree, so the dimension of the span inside F_m is the
+    number of pivots of label degree <= m; counts[d] counts those of
     degree d, from every pivot add_images and add return, at every
     widening stage, from one shared elimination.
 
@@ -255,8 +271,7 @@ class CokernelEngine:
     s(v) has degree below w (Kummer's k < 0) is not shifted: s(r) is
     row(s(v)), already in the span through degree w-1, minus shifts of
     rows inserted before it, so it would reduce to zero.  stored holds
-    the pivots of the echelon rows to shift at the next degree, and
-    rows only the raw rows of the labels outside the image of s.  Where
+    the pivots of the echelon rows to shift at the next degree.  Where
     s keeps the column order through r's pivot p
     (ModuleIndex.shifted_pivots) and no row pivots at s(p) yet, s(r)
     needs no reduction: it is recorded as an image in the echelon and
@@ -272,12 +287,11 @@ class CokernelEngine:
         row = getattr(module, "row", None)
         if row is None:
             ints = WeylElement(f.n, primitive(f.terms)[1])
-            self.row = lambda lab, previous: act_word(module, {lab: 1}, ints)
+            self.row = lambda lab: act_word(module, {lab: 1}, ints)
         else:
-            self.row = lambda lab, previous: row(lab, f, previous)
+            self.row = lambda lab: row(lab, f)
         self.shifts = hasattr(module, "shift")
         self.echelon = SparseEchelon(self.index.shifted if self.shifts else None)
-        self.rows = {}  # {label: row} built by the row kernel in the last label degree
         self.stored = []  # pivots of the echelon rows stored during the last label degree
         self.counts = Counter()  # {label degree: number of pivot columns of that degree}
         self.width = -1
@@ -286,7 +300,6 @@ class CokernelEngine:
         echelon, index, module = self.echelon, self.index, self.index.module
         while self.width < width:
             self.width += 1
-            previous, self.rows = self.rows, {}
             if self.shifts:
                 # pivots of the rows stored, None where the span did not grow
                 pivots = echelon.add_images(index.shifted_pivots(self.stored))
@@ -296,15 +309,11 @@ class CokernelEngine:
             pivots = [p for p in pivots if p is not None]
             stored = pivots[:]
             for lab in labels:
-                vec = index.vector(self.row(lab, previous))
-                row = echelon.add(vec)
+                row = echelon.add(index.vector(self.row(lab)))
                 if row is not None:
                     pivots.append(max(row))
                     if self.shifts and module.degree(module.shift(lab)) > self.width:
                         stored.append(pivots[-1])
-                # keyed by the index's own label objects, so the rows held
-                # for the next degree allocate no monomials of their own
-                self.rows[lab] = index.combination(vec)
             self.stored = stored
             self.counts.update(map(index.degree_of, pivots))
 

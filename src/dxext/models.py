@@ -25,14 +25,18 @@ The model protocol, read by ModuleIndex, the engine and the CLI:
                          label, raises the degree by at most one and
                          commutes with right multiplication by every
                          polynomial; the engine widens through it
+  shift_x                optional, with shift on monomial labels: the i
+                         for which shift is left multiplication by x_i,
+                         which maps labels(d) in order onto the labels
+                         of degree d + 1 with a positive x_i exponent
 
 FreeWeylModule shifts by left multiplication by the first variable x,
 LineICModule and KummerICModule by the right action of x ((i, j) ->
 (i+1, j) and (k, j) -> (k+1, j); for k < 0 the Kummer map lowers the
 degree).  DeltaModule has no shift: x lowers its degree and is not
-one-to-one.  DXQuotientModule adds row(label, elem, previous=None), the
-integer row the engine eliminates, and has a shift when its divisor is
-a polynomial whose lm misses some x_i (see its docstring).
+one-to-one.  DXQuotientModule adds row(label, elem), the integer row
+the engine eliminates, and has a shift when its divisor is a
+polynomial whose lm misses some x_i (see its docstring).
 
 Shipped models:
 
@@ -63,9 +67,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import lt
+from operator import add, le, lt, sub
 
 from .grading import compositions, monomials_of_degree
 from .linalg import primitive
@@ -200,6 +205,7 @@ class FreeWeylModule:
             raise ValueError("need at least one variable")
         self.n = n
         self.name = f"free:{n}"
+        self.shift_x = 0
         self.shift = functools.partial(_times_x, 0)
 
     def labels(self, d):
@@ -400,19 +406,26 @@ class DXQuotientModule:
     empty when that is zero.  An echelon stores the primitive form of
     each row with a positive pivot, so it cannot tell a row from NF.
 
-    Rows by x-shift: a polynomial f commutes with every x_i, so
-    NF(x_i*h) = NF(x_i*NF(h)).  Given the rows of the standard labels
-    one degree lower (previous), the row of a label x_i*g is x_i times
-    the row of g, divided again by f; when lm(f) has no x_i the shifted
-    row is already reduced.  Only labels with no x factor, and every
-    label when f has a d part, take the full product label*elem.
+    Rows of a polynomial divisor: x^a*f*d^b = f*x^a*d^b lies in fD, and
+    d^b*f = sum_k C(b,k)*(d^k f)*d^(b-k) with d^k f the partial
+    derivative (C(b,k) the product of the binomials C(b_i,k_i)), so
+
+      NF(x^a d^b * f) = sum_{0 < k <= b} C(b,k) * NF(x^a * d^k f) * d^(b-k)
+
+    with no Weyl product.  Division by a polynomial acts on the x part
+    of each d-monomial alone, so each NF(x^a * d^k f) is a polynomial,
+    computed once per (a, k) and kept on the module.  Pseudo-division
+    gives it as s*NF with a positive integer s; the pieces of one x^a
+    are kept at the lcm of their s, so every row is a positive multiple
+    of NF.  Any other elem, and every elem when f has a d part, takes
+    the full product label*elem.
 
     shift exists when f is a polynomial and lm(f) misses some x_i: it
-    is left multiplication by the first such x_i.  That maps standard
-    monomials to standard monomials (lm(f) divides x_i*m only if it
-    divides m), so x_i*NF(h) = NF(x_i*h), and it commutes with right
-    multiplication because f commutes with x_i.  CokernelEngine widens
-    through it from its stored echelon rows.
+    is left multiplication by the first such x_i (shift_x).  That maps
+    standard monomials to standard monomials (lm(f) divides x_i*m only
+    if it divides m), so x_i*NF(h) = NF(x_i*h), and it commutes with
+    right multiplication because f commutes with x_i.  CokernelEngine
+    widens through it from its stored echelon rows.
     """
 
     def __init__(self, f):
@@ -425,8 +438,12 @@ class DXQuotientModule:
         lead_x, lead_d = max(f.terms, key=graded_key)
         self._lead = lead_x + lead_d
         self._polynomial = f.is_polynomial
-        if self._polynomial and 0 in lead_x:
-            self.shift = functools.partial(_times_x, lead_x.index(0))
+        if self._polynomial:
+            self._partials = _partials(self._f_ints)
+            self._parts = {}  # {xexp: _x_parts(xexp)}
+            if 0 in lead_x:
+                self.shift_x = lead_x.index(0)
+                self.shift = functools.partial(_times_x, self.shift_x)
 
     def labels(self, d):
         n, lead, last = self.n, self._lead, 2 * self.n - 1
@@ -474,28 +491,46 @@ class DXQuotientModule:
         """Canonical representative of elem modulo fD as a combination."""
         return divide_left(self.f.terms, elem.terms)[1]
 
-    def row(self, label, elem, previous=None):
-        """Integer terms: a multiple of NF(label*elem), nonzero iff that is.
-
-        previous, when given, maps every standard label one degree below
-        label to its row for the same elem; a label with an x factor
-        then gets its row by x-shift from its parent's.
-        """
-        xexp, dexp = label
-        if previous is not None and self._polynomial and any(xexp):
-            # shift in the variable where lm(f) is lowest, so the shifted
-            # row needs as little re-division as possible
-            i = min((i for i, a in enumerate(xexp) if a), key=self._lead.__getitem__)
-            parent = previous[(xexp[:i] + (xexp[i] - 1,) + xexp[i + 1:], dexp)]
-            shifted = {
-                (mx[:i] + (mx[i] + 1,) + mx[i + 1:], md): c for (mx, md), c in parent.items()
-            }
-            if not self._lead[i]:
-                return shifted
-            return pseudo_divide_left(self._f_ints, shifted)[2]
-        ints = self._f_ints if elem.terms == self.f.terms else primitive(elem.terms)[1]
+    def row(self, label, elem):
+        """Integer terms: a multiple of NF(label*elem), nonzero iff that is."""
+        if elem.terms != self.f.terms:
+            ints = primitive(elem.terms)[1]
+        elif self._polynomial:
+            return self._divisor_row(label)
+        else:
+            ints = self._f_ints
         product = mul_terms({label: 1}, ints)
         return pseudo_divide_left(self._f_ints, product)[2]
+
+    def _divisor_row(self, label):
+        """A positive multiple of NF(label*f), from f's partial derivatives."""
+        xexp, dexp = label
+        parts = self._parts.get(xexp)
+        if parts is None:
+            parts = self._x_parts(xexp)
+        row = {}
+        for k, part in parts:
+            if all(map(le, k, dexp)):
+                c = math.prod(map(math.comb, dexp, k))
+                dk = tuple(map(sub, dexp, k))
+                for mx, v in part.items():
+                    row[mx, dk] = c * v
+        return row
+
+    def _x_parts(self, xexp):
+        """(k, L*NF(x^xexp * d^k f)) on x exponents for each partial
+        derivative d^k f whose piece is nonzero, all at one scale L > 0."""
+        zero, parts = (0,) * self.n, []
+        for k, partial in self._partials.items():
+            terms = {(tuple(map(add, xexp, m)), zero): c for m, c in partial.items()}
+            s, _, r = pseudo_divide_left(self._f_ints, terms)
+            if r:
+                parts.append((k, s, {mx: c for (mx, _), c in r.items()}))
+        scale = math.lcm(*(s for _, s, _ in parts))
+        parts = self._parts[xexp] = [
+            (k, {mx: c * (scale // s) for mx, c in r.items()}) for k, s, r in parts
+        ]
+        return parts
 
     def act(self, label, gen):
         kind, i = gen
@@ -507,6 +542,17 @@ class DXQuotientModule:
 
     def mf_level_bound(self, f, level):
         return None  # no a-priori bound for sums v*f + f*h in the quotient
+
+
+def _partials(terms):
+    """The partial derivatives d^k p, k != 0, of a polynomial p given by
+    integer terms, as {k: {xexp: int}}; only the nonzero ones are kept."""
+    out = {}
+    for (xexp, _), c in terms.items():
+        for k in itertools.product(*(range(e + 1) for e in xexp)):
+            if any(k):
+                out.setdefault(k, {})[tuple(map(sub, xexp, k))] = c * math.prod(map(math.perm, xexp, k))
+    return out
 
 
 def _times_x(i, label):

@@ -27,7 +27,6 @@ series inversion is involved.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .grading import compositions
 
@@ -235,16 +234,39 @@ def isotypic_dims(action, chi, max_deg):
 def distinct_characters(action):
     """One representative per character of the generated subgroup.
 
-    Exponent vectors are deduplicated by their values on the
-    generators; the number of classes equals the group size.
+    Exponent vectors are classed by their values on the generators, the
+    restriction signature; the number of classes equals the group size.
+    Each class is represented by its lexicographically first exponent
+    vector, and the list is in lexicographic order, as a walk over every
+    exponent vector would find them.  The signature is additive in the
+    exponents, so the signatures reach[i] of the exponents i..n-1 form
+    a subgroup, built coset by coset from reach[i + 1]; each exponent of
+    a class's representative is then the least value that leaves the
+    rest of its signature in reach of the exponents after it.
     """
-    seen = {}
-    for exps in product(range(action.order), repeat=action.n):
-        chi = Character(exps)
-        sig = chi.restriction_signature(action)
-        if sig not in seen:
-            seen[sig] = chi
-    return list(seen.values())
+    order, gens = action.order, action.generators
+    cols = [tuple(g[i] for g in gens) for i in range(action.n)]
+
+    def plus(sig, col, e=1):
+        return tuple((s + e * c) % order for s, c in zip(sig, col))
+
+    reach = [{tuple(0 for _ in gens)}]
+    for col in reversed(cols):
+        sub, grown, step = reach[-1], set(reach[-1]), col
+        while step not in sub:  # one coset per multiple of col outside sub
+            grown.update(plus(sig, step) for sig in sub)
+            step = plus(step, col)
+        reach.append(grown)
+    reach.reverse()
+    chars = []
+    for sig in reach[0]:
+        exps = []
+        for col, rest in zip(cols, reach[1:]):
+            e = next(e for e in range(order) if plus(sig, col, -e) in rest)
+            sig = plus(sig, col, -e)
+            exps.append(e)
+        chars.append(Character(exps))
+    return sorted(chars, key=lambda chi: chi.exponents)
 
 
 def _require_isolated(action):

@@ -157,6 +157,39 @@ def test_shifted_pivot_is_the_pivot_of_the_shifted_row():
     assert _shift_pivot_hits(engine) == engine.echelon.rank
 
 
+class _LabelByLabel:
+    """A model seen without its shift_x, so ModuleIndex maps its shift
+    label by label through module.shift: the generic path."""
+
+    def __init__(self, module):
+        self._module = module
+
+    def __getattr__(self, name):
+        if name == "shift_x":
+            raise AttributeError(name)
+        return getattr(self._module, name)
+
+
+@pytest.mark.parametrize("spec", ["dx:y^2 - x^3", "dx:x^3 + y^5", "dx:z^2 - x*y", "free:2", "free:3"])
+def test_label_order_column_map_matches_the_generic_map(spec):
+    # a shift by x_i maps each degree in order onto the next degree's
+    # labels with x_i >= 1; through degree 8 the map filled from label
+    # order, its increasing prefix and the unshifted labels equal those
+    # of the map built from pos[module.shift(label)]
+    module = parse_model(spec)
+    fast, generic = ModuleIndex(module), ModuleIndex(_LabelByLabel(module))
+    assert not hasattr(generic.module, "shift_x") and hasattr(module, "shift_x")
+    columns = list(range(fast.prefix_size(7)))  # their images lie in degree 8
+    assert generic.prefix_size(7) == len(columns)
+    assert fast.shifted_pivots(columns) == generic.shifted_pivots(columns)
+    assert all(q is not None for _, q in fast.shifted_pivots(columns))
+    labels = generic._labels
+    assert fast._shift[: len(columns)] == [generic._pos[module.shift(labels[c])] for c in columns]
+    for d in range(9):
+        assert fast.unshifted_labels(d) == generic.unshifted_labels(d)
+        assert fast.labels_of_degree(d) == generic.labels_of_degree(d)
+
+
 def test_shifted_pivot_stops_where_the_column_map_falls():
     # Kummer's shift lowers the degree of (k, j) for k < 0, so its column
     # map falls at the first such label; from there on the lookup gives

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dxext import models
 from dxext.hyperext import CokernelEngine, ModuleIndex
-from dxext.linalg import SparseEchelon
+from dxext.linalg import SparseEchelon, primitive
 from dxext.models import (
     DXQuotientModule,
     DeltaModule,
@@ -22,7 +22,7 @@ from dxext.models import (
     label_ints,
 )
 from dxext.parser import parse
-from dxext.weyl import WeylElement, divide_left, graded_key, pseudo_divide_left
+from dxext.weyl import WeylElement, divide_left, graded_key, mul_terms, pseudo_divide_left
 
 
 def all_models():
@@ -345,20 +345,30 @@ ENGINE_ROW_CASES = [
 ]
 
 
+def _full_product_row(module, f):
+    """The row oracle of D/fD: the remainder of the full product label*f,
+    independent of the row kernel's derivative path."""
+    divisor, ints = primitive(module.f.terms)[1], primitive(f.terms)[1]
+    return lambda label: pseudo_divide_left(divisor, mul_terms({label: 1}, ints))[2]
+
+
 def _assert_engine_matches_oracle(module, f, row, max_width):
     # Span oracle: at every width through max_width the engine's echelon
     # spans what a fresh echelon of row(label) over every label through
     # that width spans, read as rank, pivot set and level dims.  Only
     # the labels outside the image of the model's shift get rows of their
-    # own.
+    # own, in label order.
     engine = CokernelEngine(module, f)
+    kernel, requested = engine.row, []
+    engine.row = lambda label: requested.append(label) or kernel(label)
     oracle = SparseEchelon()
     shift = getattr(module, "shift", None)
     for width in range(max_width + 1):
+        requested.clear()
         engine.widen_to(width)
         labels = engine.index.labels_of_degree(width)
         image = {shift(lab) for lab in module.labels(width - 1)} if shift else set()
-        assert list(engine.rows) == [lab for lab in labels if lab not in image]
+        assert requested == [lab for lab in labels if lab not in image]
         for label in labels:
             oracle.add(engine.index.vector(row(label)))
         assert engine.echelon.rank == oracle.rank
@@ -372,7 +382,38 @@ def _assert_engine_matches_oracle(module, f, row, max_width):
 def test_engine_rows_match_full_product(divisor, text):
     f = parse(text)
     module = DXQuotientModule(parse(divisor, f.n))
-    _assert_engine_matches_oracle(module, f, lambda label: module.row(label, f), 5)
+    _assert_engine_matches_oracle(module, f, _full_product_row(module, f), 5)
+
+
+@st.composite
+def _polynomial_divisors(draw):
+    # an integer polynomial in 2 or 3 variables whose primitive form has
+    # a leading coefficient that is not a unit
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    zero = (0,) * n
+    drawn = draw(st.dictionaries(exps, st.integers(-6, 6).filter(bool), min_size=2, max_size=5))
+    terms = {(xexp, zero): c for xexp, c in drawn.items()}
+    lead = max(terms, key=graded_key)
+    terms[lead] = draw(st.sampled_from([2, -2, 3, -3, 4, -4, 6]))
+    assume(abs(primitive(terms)[1][lead]) > 1)
+    return WeylElement(n, terms)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(_polynomial_divisors())
+@example(parse("2*y^2 - 3*x^3 + x"))
+def test_divisor_rows_are_positive_multiples_of_the_full_product(f):
+    # the derivative rows against the remainder of the full product,
+    # label by label through degree 6: the same row up to a positive
+    # factor, so no sign flips and no missing or extra terms
+    module = DXQuotientModule(f)
+    oracle = _full_product_row(module, f)
+    for label in basis(module, 6):
+        row = module.row(label, f)
+        assert all(type(c) is int for c in row.values())
+        t = _row_multiplier(row, oracle(label))
+        assert t is not None and t > 0, (label, row)
 
 
 ACT_SHIFT_MODELS = [
@@ -400,7 +441,7 @@ CUSP = parse("y^2 - x^3")
 
 def _oracle_row(module, f):
     if isinstance(module, DXQuotientModule):
-        return lambda label: module.row(label, f)
+        return _full_product_row(module, f)
     return lambda label: act_word(module, {label: 1}, f)
 
 

@@ -109,6 +109,32 @@ def test_partition_of_unity():
         assert totals == [m + 1 for m in range(11)]
 
 
+def brute_characters(action):
+    """distinct_characters by walking every exponent vector in order."""
+    seen = {}
+    for exps in itertools.product(range(action.order), repeat=action.n):
+        chi = Character(exps)
+        seen.setdefault(chi.restriction_signature(action), chi)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("action", [
+    # the actions of the tests here and of `verify` (Z/2, Z/3, Z/4)
+    cyclic(2, 1, 1), cyclic(3, 1, 2), cyclic(4, 1, 3), cyclic(6, 1, 5), cyclic(2, 1, 0),
+    cyclic(2, 0, 1, 1), cyclic(MAX_ORDER, 1, 1),
+    DiagonalGroupAction(order=1, generators=((0, 0),), n=2),
+    DiagonalGroupAction(16, ((1, 0), (0, 1)), 2),
+    parse_group("cyclic:4:1,3"), parse_group('{"order": 2, "generators": [[1, 1]]}'),
+    # two generators whose signatures do not reach every pair of values
+    DiagonalGroupAction(12, ((2, 3, 4), (6, 0, 6)), 3),
+], ids=lambda g: f"{g.order}:{g.generators}")
+def test_distinct_characters_match_brute_force(action):
+    # the lexicographically first representative of each class, in order
+    chars = distinct_characters(action)
+    assert chars == brute_characters(action)
+    assert len(chars) == action.group_size
+
+
 def test_molien_oracle_agrees():
     for g in (cyclic(2, 1, 1), cyclic(3, 1, 2), cyclic(4, 1, 3), cyclic(6, 1, 5)):
         for chi in distinct_characters(g):
