@@ -1,18 +1,25 @@
-"""Degree-graded enumeration of Weyl monomials.
+"""Degree-graded enumeration of Weyl monomials, and their packed columns.
 
 Monomials (x_exponents, d_exponents) are enumerated degree by degree,
 lexicographically within a degree, so the monomials of Bernstein degree
-at most m always form a prefix of the enumeration.  Positions are
-stable under extension, which lets echelon pivots answer per-level
-questions.
+at most m always form a prefix of the enumeration.  MonomialColumns
+packs each monomial into one int in that same order, so a column is
+stable under extension and echelon pivots answer per-level questions.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 __all__ = [
+    "MAX_EXPONENT",
+    "MonomialColumns",
     "compositions",
     "monomials_of_degree",
 ]
+
+SLOT_BITS = 16
+MAX_EXPONENT = (1 << SLOT_BITS) - 1
 
 
 def compositions(total, slots):
@@ -36,3 +43,37 @@ def monomials_of_degree(n, d):
     """Weyl monomials of exact Bernstein degree d, lexicographic."""
     for exps in compositions(d, 2 * n):
         yield (exps[:n], exps[n:])
+
+
+class MonomialColumns:
+    """Weyl monomials in n variables packed into int columns.
+
+    A column holds the degree in its top bits, from bit degree_bits up,
+    and below it one SLOT_BITS slot per exponent, x_1..x_n then
+    d_1..d_n, the first exponent highest.  So columns increase with the
+    degree and, within a degree, with the exponents' lexicographic
+    order: the order of the enumeration above.  Packing is linear:
+    column(m) is the sum of e_j * weights[j] over m's exponents e_j, so
+    the column of x_i * m is column(m) + weights[i], and a column's
+    degree is column >> degree_bits.  An exponent above MAX_EXPONENT
+    does not fit its slot and raises ValueError.
+    """
+
+    __slots__ = ("n", "degree_bits", "weights", "_offsets")
+
+    def __init__(self, n):
+        slots = 2 * n
+        self.n = n
+        self.degree_bits = slots * SLOT_BITS
+        self._offsets = [SLOT_BITS * (slots - 1 - j) for j in range(slots)]
+        self.weights = tuple((1 << self.degree_bits) + (1 << s) for s in self._offsets)
+
+    def column(self, label):
+        exps = label[0] + label[1]
+        if max(exps) > MAX_EXPONENT:
+            raise ValueError(f"exponent {max(exps)} above {MAX_EXPONENT}, the largest a column holds")
+        return sum(map(mul, exps, self.weights))
+
+    def label(self, column):
+        exps = [column >> s & MAX_EXPONENT for s in self._offsets]
+        return tuple(exps[: self.n]), tuple(exps[self.n :])

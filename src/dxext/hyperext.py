@@ -65,14 +65,24 @@ the vectors fed to the echelon change.
 When the divisor of D/fD is a polynomial whose lm misses a variable
 x_i, s is left multiplication by x_i: it maps standard monomials to
 standard monomials, so x_i*NF(h) = NF(x_i*h) with no division at all,
-and L_w holds the degree-w labels without x_i; ModuleIndex reads its
-column map from label order.  On the free module s is left
-multiplication by x (L_w: the monomials without x).  On the line
-models s is the right action of x: (i, j) -> (i+1, j), one label
-per degree in L_w, and on the Kummer model (k, j) -> (k+1, j), which
-lowers the degree for k < 0; those labels are not images of a lower
-degree, so L_w holds every label with k <= 0, and the rows stored for
-the labels with k < 0 are not shifted (see CokernelEngine).
+and L_w holds the degree-w labels without x_i, which the model lists
+directly.  On the free module s is left multiplication by x (L_w: the
+monomials without x).  On the line models s is the right action of x:
+(i, j) -> (i+1, j), one label per degree in L_w, and on the Kummer
+model (k, j) -> (k+1, j), which lowers the degree for k < 0; those
+labels are not images of a lower degree, so L_w holds every label with
+k <= 0, and the rows stored for the labels with k < 0 are not shifted
+(see CokernelEngine).
+
+Labels that are Weyl monomials (D/fD and the free module) need no
+label table: MonomialIndex packs each label's exponents into one int
+column, the degree in the top bits, so columns keep the label order
+and a pivot's degree is a shift.  Packing is linear, so left
+multiplication by x_i adds one constant to every column: it keeps the
+order of all columns, and an image's pivot is its source's plus that
+constant.  D/fD's row kernel builds its rows on these columns.  The
+line, Kummer and delta models keep ModuleIndex's numbered columns and
+its column map of the shift.
 
 Rows without a row kernel come from act_word on the primitive integer
 form of f: the models act with int coefficients wherever they are
@@ -96,9 +106,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import gt
 
+from .grading import MAX_EXPONENT
 from .linalg import SparseEchelon, primitive
 from .models import DXQuotientModule, act_word
 from .rewrite import node_system
@@ -109,6 +120,7 @@ __all__ = [
     "CokernelEngine",
     "ext1_self_dims",
     "ModuleIndex",
+    "MonomialIndex",
     "ext_module_dims",
     "EndElement",
     "NoTwistSolution",
@@ -135,8 +147,16 @@ def _require_degree(d):
         raise ValueError(f"degree must be >= 0, got {d}")
 
 
+def _require_packable(d):
+    _require_degree(d)
+    if d > MAX_EXPONENT:
+        raise ValueError(f"degree {d} above {MAX_EXPONENT}, the largest that packed columns hold")
+
+
 class ModuleIndex:
-    """Stable degree-major numbering of a module's basis labels.
+    """Stable degree-major numbering of a module's basis labels, for the
+    models whose labels are not Weyl monomials (the line, Kummer and
+    delta models; the others get MonomialIndex).
 
     extend_to(d) lists module.labels(e) once for each degree e it has
     not reached yet and numbers those labels after the ones it holds, so
@@ -145,16 +165,9 @@ class ModuleIndex:
     the labels of degree e are _labels[_through[e - 1]:_through[e]].
 
     For a module with a shift it also keeps the column map of the
-    shift, extended on demand, and the length of its longest strictly
-    increasing prefix: on those columns the shift keeps the order of
-    columns, so it maps a row's pivot to its image's pivot.  When the
-    shift is left multiplication by x_i (module.shift_x: D/fD and the
-    free module), the labels of degree e map in order onto the labels
-    of degree e + 1 with a positive x_i exponent, so extend_to fills the
-    map one degree at a time from label order, with no shift call and
-    no lookup, from the same int objects _pos holds; the whole map is
-    increasing, and the unshifted labels are those with no x_i.  Any
-    other shift (the line and Kummer models) is mapped label by label.
+    shift, extended on demand label by label, and the length of its
+    longest strictly increasing prefix: on those columns the shift keeps
+    the order of columns, so it maps a row's pivot to its image's pivot.
     """
 
     def __init__(self, module):
@@ -164,19 +177,14 @@ class ModuleIndex:
         self._through = []  # label count through each degree
         self._shift = []  # column of module.shift(label) for each column
         self._rising = 0  # _shift[:_rising] is strictly increasing
-        self._x = getattr(module, "shift_x", None)
 
     def extend_to(self, degree):
-        labels, x = self._labels, self._x
+        labels = self._labels
         for d in range(len(self._through), degree + 1):
             new = self.module.labels(d)
-            cols = list(range(len(labels), len(labels) + len(new)))
-            self._pos.update(zip(new, cols))
+            self._pos.update(zip(new, range(len(labels), len(labels) + len(new))))
             labels += new
             self._through.append(len(labels))
-            if x is not None:  # the images of the degree d - 1 labels
-                self._shift += compress(cols, [lab[0][x] for lab in new])
-                self._rising = len(self._shift)
 
     def prefix_size(self, m):
         _require_degree(m)
@@ -207,9 +215,6 @@ class ModuleIndex:
         """The column map of module.shift, extended through column top."""
         cols, start = self._shift, len(self._shift)
         if start > top:
-            return cols
-        if self._x is not None:
-            self.extend_to(self.degree_of(top) + 1)
             return cols
         module, labels, pos = self.module, self._labels, self._pos
         self.extend_to(module.degree(labels[top]) + 1)  # a shift raises the degree by <= 1
@@ -242,11 +247,68 @@ class ModuleIndex:
         """The labels of degree d that are not module.shift(v) for a label
         v of degree d - 1."""
         labels = self.labels_of_degree(d)
-        if self._x is not None:
-            return [lab for lab in labels if not lab[0][self._x]]
         lower, first = (self._through[d - 2] if d > 1 else 0), (self._through[d - 1] if d else 0)
         image = self.shifted(dict.fromkeys(range(lower, first))) if lower < first else {}
         return [lab for k, lab in enumerate(labels, first) if k not in image]
+
+
+class MonomialIndex:
+    """Packed columns for a model whose labels are Weyl monomials.
+
+    A label's column is its exponents packed into one int by the
+    model's grading.MonomialColumns, in the order in which ModuleIndex
+    would number the labels, so every row still pivots on its largest
+    column.  The index stores no label: vector and combination pack and
+    unpack, degree_of is a shift, and prefix sizes are counted only
+    through the degrees asked for.  A degree whose labels do not fit the
+    columns raises ValueError.  A shift by x_i (shift_x) adds
+    columns.weights[i] to every column, so it keeps the order of all
+    columns: every shifted row pivots at its source's pivot plus that
+    step.
+    """
+
+    def __init__(self, module):
+        self.module = module
+        self.columns = module.columns
+        self._through = []  # label count through each degree
+        # column >> degree_bits, from C when mapped over pivots
+        self.degree_of = self.columns.degree_bits.__rrshift__
+        x = getattr(module, "shift_x", None)
+        self._step = None if x is None else self.columns.weights[x]
+
+    def prefix_size(self, m):
+        _require_packable(m)
+        through, labels = self._through, self.module.labels
+        while len(through) <= m:
+            through.append((through[-1] if through else 0) + len(labels(len(through))))
+        return through[m]
+
+    def labels_of_degree(self, d):
+        _require_packable(d)
+        return self.module.labels(d)
+
+    def unshifted_labels(self, d):
+        """The labels of degree d without the shift's x_i."""
+        _require_packable(d)
+        return self.module.unshifted_labels(d)
+
+    def vector(self, comb):
+        column = self.columns.column
+        return {column(lab): c for lab, c in comb.items() if c}
+
+    def combination(self, vec):
+        label = self.columns.label
+        return {label(c): v for c, v in vec.items()}
+
+    def shifted(self, vec):
+        """vec with every label replaced by module.shift(label)."""
+        step = self._step
+        return {c + step: v for c, v in vec.items()}
+
+    def shifted_pivots(self, columns):
+        """(c, the column of module.shift(label c)) for each column c."""
+        step = self._step
+        return [(c, c + step) for c in columns]
 
 
 class CokernelEngine:
@@ -255,11 +317,12 @@ class CokernelEngine:
     Rows come from the model's row kernel when it has one, else from
     act_word on the primitive integer form of f.  They are added for
     whole label degrees (width = largest label degree included).  Every
-    row pivots on its largest column and the index numbers columns
-    degree by degree, so the dimension of the span inside F_m is the
-    number of pivots of label degree <= m; counts[d] counts those of
-    degree d, from every pivot add_images and add return, at every
-    widening stage, from one shared elimination.
+    row pivots on its largest column, and the index's columns increase
+    with the label degree (MonomialIndex packs them for monomial labels,
+    ModuleIndex numbers the others), so the dimension of the span inside
+    F_m is the number of pivots of label degree <= m; counts[d] counts
+    those of degree d, from every pivot add_images and add return, at
+    every widening stage, from one shared elimination.
 
     When the module has a shift s (one-to-one on labels, raising the
     degree by at most one; D/fD, the free module and the line and
@@ -272,22 +335,22 @@ class CokernelEngine:
     row(s(v)), already in the span through degree w-1, minus shifts of
     rows inserted before it, so it would reduce to zero.  stored holds
     the pivots of the echelon rows to shift at the next degree.  Where
-    s keeps the column order through r's pivot p
-    (ModuleIndex.shifted_pivots) and no row pivots at s(p) yet, s(r)
-    needs no reduction: it is recorded as an image in the echelon and
-    built only when something reads it.
+    s keeps the column order through r's pivot p (shifted_pivots; an
+    x_i shift on packed columns keeps it everywhere) and no row pivots
+    at s(p) yet, s(r) needs no reduction: it is recorded as an image in
+    the echelon and built only when something reads it.
     """
 
     def __init__(self, module, f):
         _require_poly(f)
         if module.n != f.n:
             raise ValueError("variable count mismatch between module and f")
-        self.index = ModuleIndex(module)
+        self.index = MonomialIndex(module) if hasattr(module, "columns") else ModuleIndex(module)
         self.f = f
         row = getattr(module, "row", None)
         if row is None:
-            ints = WeylElement(f.n, primitive(f.terms)[1])
-            self.row = lambda lab: act_word(module, {lab: 1}, ints)
+            ints, vector = WeylElement(f.n, primitive(f.terms)[1]), self.index.vector
+            self.row = lambda lab: vector(act_word(module, {lab: 1}, ints))
         else:
             self.row = lambda lab: row(lab, f)
         self.shifts = hasattr(module, "shift")
@@ -309,7 +372,7 @@ class CokernelEngine:
             pivots = [p for p in pivots if p is not None]
             stored = pivots[:]
             for lab in labels:
-                row = echelon.add(index.vector(self.row(lab)))
+                row = echelon.add(self.row(lab))
                 if row is not None:
                     pivots.append(max(row))
                     if self.shifts and module.degree(module.shift(lab)) > self.width:
@@ -332,6 +395,7 @@ class CokernelEngine:
         """
         if window < 1:
             raise ValueError("stab_window must be >= 1")
+        self.index.prefix_size(max_deg)  # a level the index cannot hold fails before any row
         bound = self.index.module.mf_level_bound(self.f, max_deg)
         if bound is not None:
             self.widen_to(bound)
@@ -390,6 +454,7 @@ def ext_module_dims(module, f, max_deg, stab_window=DEFAULT_WINDOW):
     engine = CokernelEngine(module, f)
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
+    engine.index.prefix_size(max_deg)  # a level the index cannot hold fails before any row
     ext0_levels = []
     for m in range(max_deg + 1):
         engine.widen_to(m)

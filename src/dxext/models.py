@@ -5,7 +5,7 @@ right action of every algebra generator on a basis label as a finite
 combination of labels.  That is enough to act by arbitrary elements,
 to check the module axioms exactly, and to run the Ext computations.
 
-The model protocol, read by ModuleIndex, the engine and the CLI:
+The model protocol, read by the engine, its label indexes and the CLI:
 
   n                      number of variables
   name                   the model's command-line spec, e.g. "delta:2"
@@ -25,18 +25,24 @@ The model protocol, read by ModuleIndex, the engine and the CLI:
                          label, raises the degree by at most one and
                          commutes with right multiplication by every
                          polynomial; the engine widens through it
-  shift_x                optional, with shift on monomial labels: the i
-                         for which shift is left multiplication by x_i,
-                         which maps labels(d) in order onto the labels
-                         of degree d + 1 with a positive x_i exponent
+  columns                optional, when the labels are Weyl monomials
+                         listed in lexicographic order within a degree:
+                         their packing into int columns, a
+                         grading.MonomialColumns; the engine then
+                         indexes labels by column, with no label table
+  shift_x                optional, with shift and columns: the i for
+                         which shift is left multiplication by x_i, so
+                         that it adds columns.weights[i] to a column
+  unshifted_labels(d)    with shift_x: the labels of degree d with no
+                         x_i, in the order of labels(d)
 
 FreeWeylModule shifts by left multiplication by the first variable x,
 LineICModule and KummerICModule by the right action of x ((i, j) ->
 (i+1, j) and (k, j) -> (k+1, j); for k < 0 the Kummer map lowers the
 degree).  DeltaModule has no shift: x lowers its degree and is not
 one-to-one.  DXQuotientModule adds row(label, elem), the integer row
-the engine eliminates, and has a shift when its divisor is a
-polynomial whose lm misses some x_i (see its docstring).
+the engine eliminates, on its columns, and has a shift when its divisor
+is a polynomial whose lm misses some x_i (see its docstring).
 
 Shipped models:
 
@@ -72,7 +78,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le, lt, sub
 
-from .grading import compositions, monomials_of_degree
+from .grading import MonomialColumns, compositions, monomials_of_degree
 from .linalg import primitive
 from .parser import parse
 from .weyl import divide_left, graded_key, mul_terms, pseudo_divide_left
@@ -205,11 +211,16 @@ class FreeWeylModule:
             raise ValueError("need at least one variable")
         self.n = n
         self.name = f"free:{n}"
+        self.columns = MonomialColumns(n)
         self.shift_x = 0
         self.shift = functools.partial(_times_x, 0)
 
     def labels(self, d):
         return list(monomials_of_degree(self.n, d))
+
+    def unshifted_labels(self, d):
+        n = self.n
+        return [((0,) + e[: n - 1], e[n - 1 :]) for e in compositions(d, 2 * n - 1)]
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])
@@ -391,20 +402,15 @@ class DXQuotientModule:
     order on xexp + dexp, so {f} is a Groebner basis of fD.  The
     standard monomials, those lm(f) does not divide, label the basis,
     listed in graded order, and the normal form of an element is its
-    remainder under left division by f.
+    remainder under left division by f.  labels(d) lists them in
+    lexicographic order of their exponents (_standard_labels), which is
+    the order of their packed columns (columns).
 
-    labels(d) walks the exponent tuples of degree d part by part, in
-    lexicographic order.  While every part so far is at least lm(f)'s
-    exponent there, lm(f) may still divide, so the walk goes on to the
-    next part, and skips it when lm(f)'s remaining exponents are all
-    zero (no completion can then be standard).  Once a part falls below
-    lm(f)'s, every completion is standard and is listed whole through
-    grading.compositions, straight into (xexp, dexp) pairs.
-
-    row(label, elem) is the fraction-free remainder of label*elem: an
-    integer term dict that is a nonzero multiple of NF(label*elem), or
-    empty when that is zero.  An echelon stores the primitive form of
-    each row with a positive pivot, so it cannot tell a row from NF.
+    row(label, elem) is the fraction-free remainder of label*elem on
+    columns: an integer vector that is a nonzero multiple of
+    NF(label*elem), or empty when that is zero.  An echelon stores the
+    primitive form of each row with a positive pivot, so it cannot tell
+    a row from NF.
 
     Rows of a polynomial divisor: x^a*f*d^b = f*x^a*d^b lies in fD, and
     d^b*f = sum_k C(b,k)*(d^k f)*d^(b-k) with d^k f the partial
@@ -414,7 +420,9 @@ class DXQuotientModule:
 
     with no Weyl product.  Division by a polynomial acts on the x part
     of each d-monomial alone, so each NF(x^a * d^k f) is a polynomial,
-    computed once per (a, k) and kept on the module.  Pseudo-division
+    computed once per (a, k) and kept on the module as a piece: its
+    columns minus the column of d^k, so that adding the column of d^b
+    gives the columns of NF(x^a * d^k f) * d^(b-k).  Pseudo-division
     gives it as s*NF with a positive integer s; the pieces of one x^a
     are kept at the lcm of their s, so every row is a positive multiple
     of NF.  Any other elem, and every elem when f has a d part, takes
@@ -425,7 +433,9 @@ class DXQuotientModule:
     standard monomials to standard monomials (lm(f) divides x_i*m only
     if it divides m), so x_i*NF(h) = NF(x_i*h), and it commutes with
     right multiplication because f commutes with x_i.  CokernelEngine
-    widens through it from its stored echelon rows.
+    widens through it from its stored echelon rows.  A monomial without
+    x_i is standard exactly when it is standard for lm(f) without its
+    x_i slot, so unshifted_labels lists those directly.
     """
 
     def __init__(self, f):
@@ -434,6 +444,8 @@ class DXQuotientModule:
         self.f = f
         self.n = f.n
         self.name = f"dx:{f}"
+        self.columns = MonomialColumns(f.n)
+        self._zero = (0,) * f.n
         self._f_ints = primitive(f.terms)[1]
         lead_x, lead_d = max(f.terms, key=graded_key)
         self._lead = lead_x + lead_d
@@ -442,43 +454,16 @@ class DXQuotientModule:
             self._partials = _partials(self._f_ints)
             self._parts = {}  # {xexp: _x_parts(xexp)}
             if 0 in lead_x:
-                self.shift_x = lead_x.index(0)
-                self.shift = functools.partial(_times_x, self.shift_x)
+                self.shift_x = i = lead_x.index(0)
+                self.shift = functools.partial(_times_x, i)
+                self._free_lead = self._lead[:i] + self._lead[i + 1:]
 
     def labels(self, d):
-        n, lead, last = self.n, self._lead, 2 * self.n - 1
-        live = [any(lead[k:]) for k in range(last + 1)]
-        out = []
+        return _standard_labels(d, self._lead, self.n)
 
-        def complete(prefix, rest):
-            # every completion of prefix is standard: list them as
-            # (xexp, dexp) pairs in lexicographic order, taking the rest of
-            # the x part with a slack part that the d part then fills
-            k = len(prefix)
-            if k < n:
-                for xs in compositions(rest, n - k + 1):
-                    out.extend(zip(itertools.repeat(prefix + xs[:-1]), compositions(xs[-1], n)))
-            else:
-                xexp, dhead = prefix[:n], prefix[n:]
-                tails = compositions(rest, 2 * n - k)
-                out.extend(zip(itertools.repeat(xexp), (dhead + t for t in tails) if dhead else tails))
-
-        def walk(prefix, k, rest):
-            # each part in prefix is >= lead's there; a standard label
-            # needs a later part below lead's, so live[k] must hold
-            if k == last:
-                if rest < lead[k]:
-                    out.append((prefix[:n], prefix[n:] + (rest,)))
-                return
-            for head in range(rest + 1):
-                if head < lead[k]:
-                    complete(prefix + (head,), rest - head)
-                elif live[k + 1]:
-                    walk(prefix + (head,), k + 1, rest - head)
-
-        if live[0]:
-            walk((), 0, d)
-        return out
+    def unshifted_labels(self, d):
+        i = self.shift_x
+        return [(xs[:i] + (0,) + xs[i:], ds) for xs, ds in _standard_labels(d, self._free_lead, self.n - 1)]
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])
@@ -492,7 +477,8 @@ class DXQuotientModule:
         return divide_left(self.f.terms, elem.terms)[1]
 
     def row(self, label, elem):
-        """Integer terms: a multiple of NF(label*elem), nonzero iff that is."""
+        """Integer vector on columns: a multiple of NF(label*elem),
+        nonzero iff that is."""
         if elem.terms != self.f.terms:
             ints = primitive(elem.terms)[1]
         elif self._polynomial:
@@ -500,35 +486,36 @@ class DXQuotientModule:
         else:
             ints = self._f_ints
         product = mul_terms({label: 1}, ints)
-        return pseudo_divide_left(self._f_ints, product)[2]
+        column = self.columns.column
+        return {column(m): c for m, c in pseudo_divide_left(self._f_ints, product)[2].items()}
 
     def _divisor_row(self, label):
-        """A positive multiple of NF(label*f), from f's partial derivatives."""
+        """A positive multiple of NF(label*f) on columns, from f's partial
+        derivatives."""
         xexp, dexp = label
         parts = self._parts.get(xexp)
         if parts is None:
             parts = self._x_parts(xexp)
-        row = {}
-        for k, part in parts:
+        base, row = self.columns.column((self._zero, dexp)), {}
+        for k, kcol, piece in parts:
             if all(map(le, k, dexp)):
-                c = math.prod(map(math.comb, dexp, k))
-                dk = tuple(map(sub, dexp, k))
-                for mx, v in part.items():
-                    row[mx, dk] = c * v
+                c, t = math.prod(map(math.comb, dexp, k)), base - kcol
+                row.update({m + t: c * v for m, v in piece.items()})
         return row
 
     def _x_parts(self, xexp):
-        """(k, L*NF(x^xexp * d^k f)) on x exponents for each partial
-        derivative d^k f whose piece is nonzero, all at one scale L > 0."""
-        zero, parts = (0,) * self.n, []
+        """(k, the column of d^k, L*NF(x^xexp * d^k f) on columns) for each
+        partial derivative d^k f whose piece is nonzero, all at one scale
+        L > 0."""
+        zero, column, parts = self._zero, self.columns.column, []
         for k, partial in self._partials.items():
             terms = {(tuple(map(add, xexp, m)), zero): c for m, c in partial.items()}
             s, _, r = pseudo_divide_left(self._f_ints, terms)
             if r:
-                parts.append((k, s, {mx: c for (mx, _), c in r.items()}))
+                parts.append((k, s, r))
         scale = math.lcm(*(s for _, s, _ in parts))
         parts = self._parts[xexp] = [
-            (k, {mx: c * (scale // s) for mx, c in r.items()}) for k, s, r in parts
+            (k, column((zero, k)), {column(m): c * (scale // s) for m, c in r.items()}) for k, s, r in parts
         ]
         return parts
 
@@ -542,6 +529,53 @@ class DXQuotientModule:
 
     def mf_level_bound(self, f, level):
         return None  # no a-priori bound for sums v*f + f*h in the quotient
+
+
+def _standard_labels(d, lead, nx):
+    """The exponent pairs (xexp, dexp) of degree d, xexp on the first nx
+    of lead's slots and dexp on the rest, that lead does not divide, in
+    lexicographic order.
+
+    The walk goes part by part.  While every part so far is at least
+    lead's exponent there, lead may still divide, so it goes on to the
+    next part, and skips it when lead's remaining exponents are all zero
+    (no completion can then be standard).  Once a part falls below
+    lead's, every completion is standard and is listed whole through
+    grading.compositions, straight into (xexp, dexp) pairs.
+    """
+    last, nd = len(lead) - 1, len(lead) - nx
+    live = [any(lead[k:]) for k in range(last + 1)]
+    out = []
+
+    def complete(prefix, rest):
+        # every completion of prefix is standard: list them in order,
+        # taking the rest of the x part with a slack part that the d part
+        # then fills
+        k = len(prefix)
+        if k < nx:
+            for xs in compositions(rest, nx - k + 1):
+                out.extend(zip(itertools.repeat(prefix + xs[:-1]), compositions(xs[-1], nd)))
+        else:
+            xexp, dhead = prefix[:nx], prefix[nx:]
+            tails = compositions(rest, last + 1 - k)
+            out.extend(zip(itertools.repeat(xexp), (dhead + t for t in tails) if dhead else tails))
+
+    def walk(prefix, k, rest):
+        # each part in prefix is >= lead's there; a standard label
+        # needs a later part below lead's, so live[k] must hold
+        if k == last:
+            if rest < lead[k]:
+                out.append((prefix[:nx], prefix[nx:] + (rest,)))
+            return
+        for head in range(rest + 1):
+            if head < lead[k]:
+                complete(prefix + (head,), rest - head)
+            elif live[k + 1]:
+                walk(prefix + (head,), k + 1, rest - head)
+
+    if live[0] and d >= 0:
+        walk((), 0, d)
+    return out
 
 
 def _partials(terms):

@@ -21,12 +21,17 @@ is added to or multiplied by something within the bound, so a nested
 power or a product of powers above it fails before any product.
 
 Degree alone does not bound the work in several variables, so every
-product is also checked, before it is taken, against MAX_TERMS: its
+product is also checked, before it is taken, against two bounds.  Its
 operands' term pairs, capped by C(D + v, v), the number of monomials
 of degree <= D in the v generators that occur in its operands, which
 bounds the terms of a product of degree D (normal ordering only lowers
-exponents).  A power base^k is checked as its last product, base^(k-1)
-times base, with base^(k-1) counted by that bound, once it is read.
+exponents), must not exceed MAX_TERMS.  And its work, the term pairs
+times the most terms one pair can expand to (the product over i of
+min(e_i, a_i) + 1, for the largest exponents e_i of d_i on the left and
+a_i of x_i on the right), must not exceed MAX_WORK.  Deferred powers
+and the partial products of a term are counted by bounds, so a whole
+term is checked before anything in it is multiplied.  A power base^k
+is checked as its last product, base^(k-1) times base, once it is read.
 
 Names: x1..xn and d1..dn always; for n <= 4 the aliases x,y,z,w and
 dx,dy,dz,dw as well.  Products are noncommutative, left to right.
@@ -40,10 +45,11 @@ from fractions import Fraction
 
 from .weyl import WeylElement
 
-__all__ = ["MAX_DEGREE", "MAX_TERMS", "ParseError", "parse", "infer_variable_count"]
+__all__ = ["MAX_DEGREE", "MAX_TERMS", "MAX_WORK", "ParseError", "parse", "infer_variable_count"]
 
 MAX_DEGREE = 64
 MAX_TERMS = 4096
+MAX_WORK = 1 << 20
 
 
 class ParseError(ValueError):
@@ -171,12 +177,12 @@ class _Parser:
         degree = sum(e.degree() or 0 for e in factors)
         if degree > MAX_DEGREE and not _one_term(factors):
             raise ParseError(f"product of degree {degree} above {MAX_DEGREE}", pos)
+        shape = _shape(factors[0])
+        for b in factors[1:]:
+            shape = _product_shape(shape, _shape(b), pos)
         e = _value(factors[0])
         for b in factors[1:]:
-            b = _value(b)
-            degree = (e.degree() or 0) + (b.degree() or 0)
-            _bound_terms(len(e.terms) * len(b.terms), degree, (e, b), pos)
-            e = e * b
+            e = e * _value(b)
         return e
 
     def factor(self):
@@ -195,9 +201,7 @@ class _Parser:
                     "term in x alone or d alone", pos
                 )
             if k > 1:
-                d = base.degree() or 0
-                pairs = _monomials((k - 1) * d, (base,)) * len(base.terms)
-                _bound_terms(pairs, k * d, (base,), pos)
+                _product_shape(_shape(_Power(base, k - 1)), _shape(base), pos)
             e = _Power(base, k) if k > 1 and len(base.terms) > 1 else base ** k
         return e
 
@@ -244,20 +248,35 @@ class _Power:
         return self.k * self.base.degree()
 
 
-def _monomials(degree, elems):
-    """C(degree + v, v): the monomials of degree <= degree in the v
-    generators x_i, d_i that occur in elems."""
-    gens = {j for e in elems for xexp, dexp in e.terms for j, a in enumerate(xexp + dexp) if a}
-    return math.comb(degree + len(gens), len(gens))
+def _shape(e):
+    """(terms, degree, largest x exponents, largest d exponents, the
+    generators that occur) of a factor; for a deferred power the terms
+    are bounded by the monomials of its degree in those generators, and
+    the exponents by k times the base's."""
+    base, k = (e.base, e.k) if isinstance(e, _Power) else (e, 1)
+    n = base.n
+    xs = [k * max(col, default=0) for col in zip(*(x for x, _ in base.terms))] or [0] * n
+    ds = [k * max(col, default=0) for col in zip(*(d for _, d in base.terms))] or [0] * n
+    gens = {j for j, a in enumerate(xs + ds) if a}
+    degree = k * (base.degree() or 0)
+    terms = len(base.terms) if k == 1 else math.comb(degree + len(gens), len(gens))
+    return terms, degree, xs, ds, gens
 
 
-def _bound_terms(pairs, degree, elems, pos):
-    """Refuse a product of elems with this many term pairs and this
-    degree when both the pairs and its monomial bound exceed MAX_TERMS."""
-    if pairs > MAX_TERMS:
-        work = min(pairs, _monomials(degree, elems))
-        if work > MAX_TERMS:
-            raise ParseError(f"product of up to {work} terms above {MAX_TERMS}", pos)
+def _product_shape(left, right, pos):
+    """The shape of the product of two shapes, with its terms bounded;
+    refuses the product when it is above MAX_TERMS or MAX_WORK."""
+    lt, ldeg, lx, ld, lgens = left
+    rt, rdeg, rx, rd, rgens = right
+    pairs, degree, gens = lt * rt, ldeg + rdeg, lgens | rgens
+    monomials = math.comb(degree + len(gens), len(gens))
+    if pairs > MAX_TERMS and min(pairs, monomials) > MAX_TERMS:
+        raise ParseError(f"product of up to {min(pairs, monomials)} terms above {MAX_TERMS}", pos)
+    work = pairs * math.prod(min(d, a) + 1 for d, a in zip(ld, rx))
+    if work > MAX_WORK:
+        raise ParseError(f"product of up to {work} term products above {MAX_WORK}", pos)
+    xs, ds = [a + b for a, b in zip(lx, rx)], [a + b for a, b in zip(ld, rd)]
+    return min(work, monomials), degree, xs, ds, gens
 
 
 def _value(e):

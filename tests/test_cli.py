@@ -8,7 +8,8 @@ import time
 import pytest
 
 from dxext.cli import build_parser, main
-from dxext.parser import MAX_DEGREE, MAX_TERMS
+from dxext.grading import MAX_EXPONENT
+from dxext.parser import MAX_DEGREE, MAX_TERMS, MAX_WORK
 from dxext.quotients import MAX_ORDER
 from dxext.verify import CheckResult
 
@@ -83,6 +84,20 @@ def test_twist_solution(capsys):
 def test_twist_no_solution_exit_code(capsys):
     code, out, err = run(capsys, "twist", "--f", "x*y", "--alpha", "dx")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext-module", "--model", "free:1", "--f", "x", "--max-deg", "65536"),
+    ("ext-self", "--f", "y^2 - x^3", "--max-deg", "65536"),
+], ids=["module", "self"])
+def test_level_past_packed_columns_fails_cleanly(capsys, argv):
+    # a label exponent above MAX_EXPONENT does not fit a packed column:
+    # the run fails at once with a message, not a traceback
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert f"above {MAX_EXPONENT}" in err and "Traceback" not in err
 
 
 def test_usage_error_nonpolynomial_f(capsys):
@@ -277,6 +292,19 @@ def test_power_above_max_terms_is_usage_error_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert_usage_error(code, out, err)
     assert f"814385 terms above {MAX_TERMS}" in err
+
+
+@pytest.mark.parametrize("alpha", [
+    "(x + dx)^32 (x + dx)^32", "(x + dx)^32 * (x + dx)^16 * (x + dx)^16",
+], ids=["two-factors", "three-factors"])
+def test_product_above_max_work_is_usage_error_at_once(capsys, alpha):
+    # within MAX_DEGREE and MAX_TERMS, but the term products it would
+    # take are counted before any of them is
+    start = time.perf_counter()
+    code, out, err = run(capsys, "twist", "--f", "x*y", "--alpha", alpha)
+    assert time.perf_counter() - start < 1
+    assert_usage_error(code, out, err)
+    assert f"term products above {MAX_WORK}" in err
 
 
 def test_closed_form_power_still_parses(capsys):

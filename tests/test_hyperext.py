@@ -10,6 +10,7 @@ from dxext.hyperext import (
     CokernelEngine,
     EndElement,
     ModuleIndex,
+    MonomialIndex,
     NoTwistSolution,
     action_ext0,
     action_ext1,
@@ -19,7 +20,10 @@ from dxext.hyperext import (
     ext_module_dims,
     solve_twist,
 )
-from dxext.models import DXQuotientModule, DeltaModule, KummerICModule, LineICModule, parse_model
+from dxext.grading import MAX_EXPONENT
+from dxext.models import (
+    DXQuotientModule, DeltaModule, FreeWeylModule, KummerICModule, LineICModule, _times_x, parse_model,
+)
 from dxext.parser import parse
 from dxext.tables import EXACT_GRADED, EXACT_ZERO, STABILIZED
 from dxext.weyl import Filtration, WeylElement
@@ -157,37 +161,59 @@ def test_shifted_pivot_is_the_pivot_of_the_shifted_row():
     assert _shift_pivot_hits(engine) == engine.echelon.rank
 
 
-class _LabelByLabel:
-    """A model seen without its shift_x, so ModuleIndex maps its shift
-    label by label through module.shift: the generic path."""
-
-    def __init__(self, module):
-        self._module = module
-
-    def __getattr__(self, name):
-        if name == "shift_x":
-            raise AttributeError(name)
-        return getattr(self._module, name)
-
-
-@pytest.mark.parametrize("spec", ["dx:y^2 - x^3", "dx:x^3 + y^5", "dx:z^2 - x*y", "free:2", "free:3"])
+@pytest.mark.parametrize("spec", [
+    "dx:y^2 - x^3", "dx:x^3 + y^5", "dx:z^2 - x*y", "free:2", "free:3",
+    "dx:x*y", "free:1", "dx:x*y + dx",
+])
 def test_label_order_column_map_matches_the_generic_map(spec):
-    # a shift by x_i maps each degree in order onto the next degree's
-    # labels with x_i >= 1; through degree 8 the map filled from label
-    # order, its increasing prefix and the unshifted labels equal those
-    # of the map built from pos[module.shift(label)]
+    # through degree 8 the packed columns sort the labels in the order
+    # ModuleIndex numbers them, give each label's degree by a shift, and
+    # map x_i to adding weights[i]; a shift by x_i is that addition on
+    # every column, and its unshifted labels are those ModuleIndex finds
     module = parse_model(spec)
-    fast, generic = ModuleIndex(module), ModuleIndex(_LabelByLabel(module))
-    assert not hasattr(generic.module, "shift_x") and hasattr(module, "shift_x")
-    columns = list(range(fast.prefix_size(7)))  # their images lie in degree 8
-    assert generic.prefix_size(7) == len(columns)
-    assert fast.shifted_pivots(columns) == generic.shifted_pivots(columns)
-    assert all(q is not None for _, q in fast.shifted_pivots(columns))
-    labels = generic._labels
-    assert fast._shift[: len(columns)] == [generic._pos[module.shift(labels[c])] for c in columns]
+    packed, numbered = MonomialIndex(module), ModuleIndex(module)
+    assert isinstance(CokernelEngine(module, parse("x", module.n)).index, MonomialIndex)
+    numbered.extend_to(8)
+    labels, column = numbered._labels, module.columns.column
+    cols = [column(lab) for lab in labels]
+    assert sorted(cols) == cols and len(set(cols)) == len(cols)
+    assert packed.vector({lab: 1 for lab in labels}) == dict.fromkeys(cols, 1)
+    assert packed.combination(dict.fromkeys(cols, 1)) == dict.fromkeys(labels, 1)
+    assert [packed.degree_of(c) for c in cols] == [module.degree(lab) for lab in labels]
+    for i, step in enumerate(module.columns.weights[: module.n]):
+        assert [column(_times_x(i, lab)) for lab in labels] == [c + step for c in cols]
     for d in range(9):
-        assert fast.unshifted_labels(d) == generic.unshifted_labels(d)
-        assert fast.labels_of_degree(d) == generic.labels_of_degree(d)
+        assert packed.labels_of_degree(d) == numbered.labels_of_degree(d)
+        assert packed.prefix_size(d) == numbered.prefix_size(d)
+    if hasattr(module, "shift_x"):
+        columns = cols[: numbered.prefix_size(7)]  # their images lie in degree 8
+        assert packed.shifted_pivots(columns) == [(c, column(module.shift(lab))) for c, lab in zip(columns, labels)]
+        assert packed.shifted({c: 1 for c in columns}) == {column(module.shift(lab)): 1 for lab in labels[: len(columns)]}
+        for d in range(9):
+            assert packed.unshifted_labels(d) == numbered.unshifted_labels(d)
+
+
+def test_packed_columns_hold_every_degree_through_their_limit():
+    # 16-bit slots: free:1 at max_deg 300 (an 8-bit slot would refuse it)
+    # keeps its exact-graded table, and a degree past MAX_EXPONENT is
+    # refused by the index before any label is listed or any row is built
+    ext0, ext1 = ext_module_dims(FreeWeylModule(1), parse("x", 1), 300)
+    assert ext0.dims() == [0] * 301 and ext1.dims() == [m + 1 for m in range(301)]
+    assert {lvl.status for table in (ext0, ext1) for lvl in table.levels} == {EXACT_GRADED}
+    assert ext1.notes["generator_degree_bound"] == 299
+    index = MonomialIndex(FreeWeylModule(1))
+    assert index.labels_of_degree(MAX_EXPONENT)[0] == ((0,), (MAX_EXPONENT,))
+    assert index.vector({((MAX_EXPONENT,), (0,)): 1}) == {MAX_EXPONENT * index.columns.weights[0]: 1}
+    for call in (
+        lambda: index.prefix_size(MAX_EXPONENT + 1),
+        lambda: index.labels_of_degree(MAX_EXPONENT + 1),
+        lambda: index.unshifted_labels(MAX_EXPONENT + 1),
+        lambda: index.vector({((MAX_EXPONENT + 1,), (0,)): 1}),
+        lambda: ext1_self_dims(P("y^2 - x^3"), MAX_EXPONENT + 1),
+    ):
+        with pytest.raises(ValueError, match=f"above {MAX_EXPONENT}"):
+            call()
+    assert index._through == []
 
 
 def test_shifted_pivot_stops_where_the_column_map_falls():

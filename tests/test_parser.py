@@ -2,7 +2,7 @@
 
 import pytest
 
-from dxext.parser import MAX_DEGREE, MAX_TERMS, ParseError, infer_variable_count, parse
+from dxext.parser import MAX_DEGREE, MAX_TERMS, MAX_WORK, ParseError, infer_variable_count, parse
 from dxext.weyl import WeylElement
 
 
@@ -158,12 +158,40 @@ def test_products_bounded_by_terms(monkeypatch):
         with pytest.raises(ParseError, match=f"terms above {MAX_TERMS}"):
             parse(text)
     assert not calls
-    # the product of two powers that pass is refused before it is taken
+    # the product of two powers that pass is refused before either power
+    # is multiplied out
     with pytest.raises(ParseError, match=f"terms above {MAX_TERMS}"):
         parse("(x + y + dx + dy)^8 (x + y + dx + dy)^8")
-    assert len(calls) == 16  # the two powers, 8 products each
+    assert not calls
     # C(19, 4) = 3876 monomials of degree <= 15 in x, y, dx, dy fit; only
     # the generators that occur count, so (x + y)^64 passes in two variables
     assert len(parse("(x + y + dx + dy)^15").terms) == 2160
     assert len(parse("(x + y)^64", 2).terms) == 65
     assert len(parse("(x + dx)^64", 2).terms) == 1089
+
+
+def test_products_bounded_by_work(monkeypatch):
+    # a product whose result fits MAX_TERMS can still take many term
+    # products: 289 x 289 pairs, each expanding to up to 33 terms, took
+    # 1.6 s; the whole term is refused before anything in it is multiplied
+    from dxext import weyl
+
+    calls = []
+    real = weyl.mul_terms
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(weyl, "mul_terms", counting)
+    for text in ("(x + dx)^32 (x + dx)^32", "(x + dx)^32 * (x + dx)^16 * (x + dx)^16",
+                 "(x + dx)^24 (x + dx)^24", "x^2 (x + dx)^32 (x + dx)^30"):
+        with pytest.raises(ParseError, match=f"term products above {MAX_WORK}"):
+            parse(text, 1)
+    assert not calls
+    # powers are one product at a time, so the largest ones still parse,
+    # as do products whose pairs expand little
+    assert len(parse("(x + dx)^64", 1).terms) == 1089
+    assert len(parse("(x + y + dx + dy)^15", 2).terms) == 2160
+    assert parse("(x + dx)^16 (x + dx)^16", 1) == parse("(x + dx)^32", 1)
+    assert parse("(x + y)^32 (x + y)^32", 2) == parse("(x + y)^64", 2)
