@@ -53,15 +53,20 @@ that are not s of a degree w-1 label,
 and since s(S_(w-2)) lies in S_(w-1), s(S_(w-1)) is spanned modulo
 S_(w-1) by s(r) for the echelon rows r stored during degree w-1.  Each
 s(r) is a re-indexing of r's columns, so it is a primitive integer row
-with r's pivot coefficient.  Where s keeps the column order up to r's
-pivot p and no row pivots at s(p) yet, s(r) is exactly the row the
-echelon would store for it, so the echelon records it as the image of
-r and builds it only when a reduction or a reader of its rows needs
-it; any other s(r) is reduced as it is added.  Images enter in the same
-order as the reduced inserts would, so every row, once built, is the
-one the echelon would have stored.  The spans agree at every whole
-width, so level dims, ranks and reduced representatives do too; only
-the vectors fed to the echelon change.
+with r's pivot coefficient.  On numbered columns each s(r) is reduced
+as it is added.  On packed columns (below) s adds one constant, the
+step, to every column, so s(r) pivots at r's pivot plus the step, and
+where no row pivots there yet s(r) is exactly the row the echelon would
+store for it.  So the echelon keeps r as the base of a chain r, s(r),
+s(s(r)), ... that grows by one member per degree and is never built: a
+reduction subtracts r at the member's offset.  A chain stops where its
+next member would pivot at a stored row, the next base up the same
+line of columns; that member is reduced as it is added, after the
+other chains have grown, and a row stored for it starts a new chain.
+That order could store other rows than reducing every s(r) in turn
+(the tests pin the cusp's rows, which are the same), but the spans
+agree at every whole width, so level dims, ranks and reduced
+representatives do too; only the vectors fed to the echelon change.
 When the divisor of D/fD is a polynomial whose lm misses a variable
 x_i, s is left multiplication by x_i: it maps standard monomials to
 standard monomials, so x_i*NF(h) = NF(x_i*h) with no division at all,
@@ -78,11 +83,11 @@ Labels that are Weyl monomials (D/fD and the free module) need no
 label table: MonomialIndex packs each label's exponents into one int
 column, the degree in the top bits, so columns keep the label order
 and a pivot's degree is a shift.  Packing is linear, so left
-multiplication by x_i adds one constant to every column: it keeps the
-order of all columns, and an image's pivot is its source's plus that
-constant.  D/fD's row kernel builds its rows on these columns.  The
-line, Kummer and delta models keep ModuleIndex's numbered columns and
-its column map of the shift.
+multiplication by x_i adds one constant to every column and raises its
+degree by one: it keeps the order of all columns, and a chain member's
+pivot is its base's plus that constant.  D/fD's row kernel builds its
+rows on these columns.  The line, Kummer and delta models keep
+ModuleIndex's numbered columns and its column map of the shift.
 
 Rows without a row kernel come from act_word on the primitive integer
 form of f: the models act with int coefficients wherever they are
@@ -107,7 +112,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import gt
 
 from .grading import MAX_EXPONENT
 from .linalg import SparseEchelon, primitive
@@ -165,9 +169,9 @@ class ModuleIndex:
     the labels of degree e are _labels[_through[e - 1]:_through[e]].
 
     For a module with a shift it also keeps the column map of the
-    shift, extended on demand label by label, and the length of its
-    longest strictly increasing prefix: on those columns the shift keeps
-    the order of columns, so it maps a row's pivot to its image's pivot.
+    shift, extended on demand label by label.  That map need not keep
+    the order of columns (Kummer's falls at column 1), so the engine
+    adds every shifted row through the echelon's add.
     """
 
     def __init__(self, module):
@@ -176,7 +180,6 @@ class ModuleIndex:
         self._pos = {}
         self._through = []  # label count through each degree
         self._shift = []  # column of module.shift(label) for each column
-        self._rising = 0  # _shift[:_rising] is strictly increasing
 
     def extend_to(self, degree):
         labels = self._labels
@@ -211,37 +214,14 @@ class ModuleIndex:
         """The label degree of a numbered column."""
         return bisect_right(self._through, column)
 
-    def _shift_through(self, top):
-        """The column map of module.shift, extended through column top."""
-        cols, start = self._shift, len(self._shift)
-        if start > top:
-            return cols
-        module, labels, pos = self.module, self._labels, self._pos
-        self.extend_to(module.degree(labels[top]) + 1)  # a shift raises the degree by <= 1
-        cols += [pos[module.shift(lab)] for lab in labels[start : top + 1]]
-        if self._rising == start:
-            low = max(start, 1)  # column 0 starts the increasing prefix
-            rises = list(map(gt, cols[low : top + 1], cols[low - 1 : top]))
-            self._rising = low + (rises.index(False) if False in rises else len(rises))
-        return cols
-
     def shifted(self, vec):
         """vec with every label replaced by module.shift(label)."""
-        cols = self._shift_through(max(vec))
+        cols, start, top = self._shift, len(self._shift), max(vec)
+        if start <= top:
+            module, labels, pos = self.module, self._labels, self._pos
+            self.extend_to(module.degree(labels[top]) + 1)  # a shift raises the degree by <= 1
+            cols += [pos[module.shift(lab)] for lab in labels[start : top + 1]]
         return {cols[c]: v for c, v in vec.items()}
-
-    def shifted_pivots(self, columns):
-        """(c, the column of module.shift(label c)) for each column c,
-        with None for that column where the column map is not strictly
-        increasing on columns 0..c.
-
-        Where it is given, it is the largest column of shifted(r) for
-        every vector r whose largest column is c.
-        """
-        if not columns:
-            return []
-        cols, rising = self._shift_through(max(columns)), self._rising
-        return [(c, cols[c] if c < rising else None) for c in columns]
 
     def unshifted_labels(self, d):
         """The labels of degree d that are not module.shift(v) for a label
@@ -261,10 +241,11 @@ class MonomialIndex:
     column.  The index stores no label: vector and combination pack and
     unpack, degree_of is a shift, and prefix sizes are counted only
     through the degrees asked for.  A degree whose labels do not fit the
-    columns raises ValueError.  A shift by x_i (shift_x) adds
-    columns.weights[i] to every column, so it keeps the order of all
-    columns: every shifted row pivots at its source's pivot plus that
-    step.
+    columns raises ValueError.  A shift by x_i (shift_x) adds step =
+    columns.weights[i] to every column and raises its degree by one, so
+    it keeps the order of all columns: every shifted row pivots at its
+    source's pivot plus step, and the engine's echelon keeps the shifts
+    as chains.  step is None for a module without that shift.
     """
 
     def __init__(self, module):
@@ -274,7 +255,7 @@ class MonomialIndex:
         # column >> degree_bits, from C when mapped over pivots
         self.degree_of = self.columns.degree_bits.__rrshift__
         x = getattr(module, "shift_x", None)
-        self._step = None if x is None else self.columns.weights[x]
+        self.step = None if x is None else self.columns.weights[x]
 
     def prefix_size(self, m):
         _require_packable(m)
@@ -300,16 +281,6 @@ class MonomialIndex:
         label = self.columns.label
         return {label(c): v for c, v in vec.items()}
 
-    def shifted(self, vec):
-        """vec with every label replaced by module.shift(label)."""
-        step = self._step
-        return {c + step: v for c, v in vec.items()}
-
-    def shifted_pivots(self, columns):
-        """(c, the column of module.shift(label c)) for each column c."""
-        step = self._step
-        return [(c, c + step) for c in columns]
-
 
 class CokernelEngine:
     """Incremental echelon of the rows row(v) = v*f of M/Mf.
@@ -321,8 +292,8 @@ class CokernelEngine:
     with the label degree (MonomialIndex packs them for monomial labels,
     ModuleIndex numbers the others), so the dimension of the span inside
     F_m is the number of pivots of label degree <= m; counts[d] counts
-    those of degree d, from every pivot add_images and add return, at
-    every widening stage, from one shared elimination.
+    those of degree d, from every pivot add returns and every member of
+    a chain, at every widening stage, from one shared elimination.
 
     When the module has a shift s (one-to-one on labels, raising the
     degree by at most one; D/fD, the free module and the line and
@@ -333,12 +304,14 @@ class CokernelEngine:
     module docstring).  A row r stored for such a label v whose image
     s(v) has degree below w (Kummer's k < 0) is not shifted: s(r) is
     row(s(v)), already in the span through degree w-1, minus shifts of
-    rows inserted before it, so it would reduce to zero.  stored holds
-    the pivots of the echelon rows to shift at the next degree.  Where
-    s keeps the column order through r's pivot p (shifted_pivots; an
-    x_i shift on packed columns keeps it everywhere) and no row pivots
-    at s(p) yet, s(r) needs no reduction: it is recorded as an image in
-    the echelon and built only when something reads it.
+    rows inserted before it, so it would reduce to zero.  On numbered
+    columns stored holds the rows to shift at the next degree, and each
+    s(r) goes through add.  On packed columns s is an x_i shift, which
+    adds the index's step to every column, so the echelon keeps every
+    stored row as the base of a chain (linalg.SparseEchelon): extend
+    grows each chain by one member that nothing builds, reduces through
+    add the members that meet a stored row, and counts the members per
+    degree; stored is then None.
     """
 
     def __init__(self, module, f):
@@ -354,8 +327,10 @@ class CokernelEngine:
         else:
             self.row = lambda lab: row(lab, f)
         self.shifts = hasattr(module, "shift")
-        self.echelon = SparseEchelon(self.index.shifted if self.shifts else None)
-        self.stored = []  # pivots of the echelon rows stored during the last label degree
+        step = getattr(self.index, "step", None)
+        self.echelon = SparseEchelon(step, self.index.degree_of)
+        # the rows stored during the last label degree, or None when chains shift them
+        self.stored = [] if step is None else None
         self.counts = Counter()  # {label degree: number of pivot columns of that degree}
         self.width = -1
 
@@ -363,21 +338,19 @@ class CokernelEngine:
         echelon, index, module = self.echelon, self.index, self.index.module
         while self.width < width:
             self.width += 1
-            if self.shifts:
-                # pivots of the rows stored, None where the span did not grow
-                pivots = echelon.add_images(index.shifted_pivots(self.stored))
-                labels = index.unshifted_labels(self.width)
+            if self.stored is None:  # the echelon's chains shift every stored row
+                members, pivots = echelon.extend()
+                self.counts.update(members)
             else:
-                pivots, labels = [], index.labels_of_degree(self.width)
-            pivots = [p for p in pivots if p is not None]
-            stored = pivots[:]
-            for lab in labels:
+                self.stored = [row for row in (echelon.add(index.shifted(r)) for r in self.stored) if row]
+                pivots = list(map(max, self.stored))
+            keep = self.shifts and self.stored is not None
+            for lab in index.unshifted_labels(self.width) if self.shifts else index.labels_of_degree(self.width):
                 row = echelon.add(self.row(lab))
                 if row is not None:
                     pivots.append(max(row))
-                    if self.shifts and module.degree(module.shift(lab)) > self.width:
-                        stored.append(pivots[-1])
-            self.stored = stored
+                    if keep and module.degree(module.shift(lab)) > self.width:
+                        self.stored.append(row)
             self.counts.update(map(index.degree_of, pivots))
 
     def level_dims(self, max_deg):

@@ -1,18 +1,21 @@
 """Exact sparse echelon forms over the rationals.
 
 Vectors are dicts mapping column index to a nonzero coefficient.  Ranks
-and span intersections run fraction-free on primitive integer rows
-(content divided out, so coefficients stay small).
+and span intersections run fraction-free on primitive integer rows: a
+reduction divides out the content of what it returns, once.
 
 SparseEchelon keeps one row per pivot column, the largest column of
-the row.  A row is either stored, or recorded as the image of another
-row under a fixed column map and built from it only when a reduction
-or a reader of rows needs it.
+the row.  Given a step, it also holds each stored row's chain: the same
+row with k*step added to every column, for k = 1, 2, ... up to where
+that pivot meets the next stored row.  A member of a chain is never
+built or kept; reductions subtract the stored row at its offset.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 __all__ = ["SparseEchelon", "primitive"]
@@ -38,117 +41,183 @@ class SparseEchelon:
     Rows are primitive integer vectors keyed by pivot column; no two
     rows share a pivot, and each row pivots on its largest column.
 
-    image, when given, maps a row to a primitive integer row whose
-    largest column holds the same positive coefficient.  add_images
-    adds the images of rows in turn: one whose largest column the caller
-    knows and no row pivots at yet is recorded without building it, and
-    row(q) builds it on first use and keeps it; any other is built and
-    added.  rows builds every image and returns the {pivot: row} dict.
+    step, when given, makes every stored row the base of a chain: its
+    member k is the base with k*step added to every column, so it
+    pivots at the base's pivot plus k*step.  Columns p and p + k*step
+    lie on one line, a residue class modulo step.  The echelon counts
+    generations: add stores a base at the current one, and extend starts
+    the next.  Then every chain gains its next member, except a chain
+    whose next member would pivot where the next base up its line
+    pivots: that member is reduced through add instead, after every
+    other chain has grown, in the order the chains were started, and a
+    row stored for it starts a chain in that chain's place.  degree
+    gives a column's degree, which adding step raises by one; extend
+    counts the new members by it.  rows builds every member.
     """
 
-    __slots__ = ("_rows", "_images", "_image")
+    __slots__ = (
+        "_rows", "_step", "_degree", "_lines", "_start", "_order", "_due", "_tally",
+        "_members", "_width",
+    )
 
-    def __init__(self, image=None):
-        self._rows = {}  # {pivot: row}, the rows built so far
-        self._images = {}  # {pivot: pivot of the row it is the image of}
-        self._image = image
+    def __init__(self, step=None, degree=None):
+        self._rows = {}  # {pivot: row}, the stored rows: every chain's base
+        self._step, self._degree = step, degree
+        self._lines = {}  # {pivot % step: tuple of the pivots of the stored rows on that line, ascending}
+        self._start = {}  # {pivot: generation at which its row was stored}
+        self._order = {}  # {pivot: place in the chain order, while its chain grows}
+        self._due = {}  # {generation: pivots whose chain may meet the next base then}
+        self._tally = Counter()  # {degree(pivot) - start: chains that still grow}
+        self._members = 0
+        self._width = 0  # the current generation
 
     @property
     def rank(self):
-        return len(self._rows) + len(self._images)
+        return len(self._rows) + self._members
 
     @property
     def rows(self):
-        for p in list(self._images):
-            self.row(p)
-        return self._rows
+        """A fresh {pivot: row} dict of every row, with each chain's
+        members built."""
+        rows, step, width, start = self._rows, self._step, self._width, self._start
+        out = dict(rows)
+        for line in self._lines.values():
+            for i, b in enumerate(line):
+                top = width - start[b]
+                if i + 1 < len(line):
+                    top = min(top, (line[i + 1] - b) // step - 1)
+                row = rows[b]
+                for shift in range(step, top * step + 1, step):
+                    out[b + shift] = {c + shift: v for c, v in row.items()}
+        return out
+
+    def _base(self, p):
+        """The pivot of the stored row whose chain holds the row pivoting
+        at p (p itself for a stored row), or None when no row pivots at p."""
+        if p in self._rows:
+            return p
+        step = self._step
+        line = self._lines.get(p % step) if step else None
+        if line:
+            i = bisect_right(line, p)
+            if i:
+                b = line[i - 1]
+                if self._start[b] + (p - b) // step <= self._width:
+                    return b
+        return None
 
     def row(self, p):
-        """The row pivoting at p, or None when no row pivots there.
+        """The row pivoting at p, or None when no row pivots there."""
+        b = self._base(p)
+        if b is None:
+            return None
+        row, shift = self._rows[b], p - b
+        return {c + shift: v for c, v in row.items()} if shift else row
 
-        An image is built from the nearest built row it descends from,
-        walking the chain iteratively, and every row on the way is kept.
-        """
-        row = self._rows.get(p)
-        if row is not None or p not in self._images:
-            return row
-        chain = [p]
-        source = self._images[p]
-        while source not in self._rows:
-            chain.append(source)
-            source = self._images[source]
-        row = self._rows[source]
-        for q in reversed(chain):
-            row = self._image(row)
-            self._rows[q] = row
-            del self._images[q]
-        return row
+    def _meets(self, b):
+        """The generation at which b's chain meets the next base up its
+        line, None when there is none."""
+        step = self._step
+        line = self._lines[b % step]
+        i = bisect_right(line, b)
+        return self._start[b] + (line[i] - b) // step if i < len(line) else None
 
-    def add_images(self, pairs):
-        """Add the image of each row in turn, and the pivot of each row
-        stored, None where the span did not grow.
+    def _chain(self, p):
+        """Start the chain of the row just stored at p, and stop the chain
+        below it on its line where it meets p."""
+        step, width, start = self._step, self._width, self._start
+        start[p] = width
+        self._order[p] = len(self._rows)  # after every chain started before
+        self._tally[self._degree(p) - width] += 1
+        key = p % step
+        line = self._lines.get(key, ())
+        i = bisect_right(line, p)
+        self._lines[key] = line = line[:i] + (p,) + line[i:]
+        due = self._due
+        if i + 1 < len(line):
+            due.setdefault(width + (line[i + 1] - p) // step, []).append(p)
+        if i:
+            b = line[i - 1]
+            due.setdefault(start[b] + (p - b) // step, []).append(b)
 
-        pairs holds (p, q): p the pivot of a row, q the largest column of
-        its image when the caller knows it, else None.  An image whose q
-        is free is recorded without building it; any other is built and
-        reduced by add.  The echelon keeps no pivot order, so a caller
-        that counts pivots counts the ones returned here and by add.
-        """
-        rows, images, out = self._rows, self._images, []
-        for p, q in pairs:
-            if q is None or q in rows or q in images:
-                row = self.add(self._image(self.row(p)))
-                out.append(None if row is None else max(row))
-            else:
-                images[q] = p
-                out.append(q)
-        return out
+    def extend(self):
+        """Start the next generation: ({degree: members added}, pivots of
+        the rows stored for the chains that met a base), in chain order."""
+        self._width = width = self._width + 1
+        rows, step, start, order, tally, degree = (
+            self._rows, self._step, self._start, self._order, self._tally, self._degree)
+        met = [b for b in self._due.pop(width, ()) if self._meets(b) == width]
+        for b in met:
+            key = degree(b) - start[b]
+            tally[key] -= 1
+            if not tally[key]:
+                del tally[key]
+        members = {key + width: n for key, n in tally.items()}
+        self._members += sum(members.values())
+        pivots = []
+        for b in sorted(met, key=order.__getitem__):
+            shift = (width - start[b]) * step
+            row = self.add({c + shift: v for c, v in rows[b].items()})
+            place = order.pop(b)
+            if row is not None:
+                p = max(row)
+                order[p] = place
+                pivots.append(p)
+        return members, pivots
 
     def residual(self, vec):
         """Primitive integer residual of vec against the current rows.
 
         vec's values are ints or Fractions; an int vector only has its
-        content divided out.
+        content divided out before it is reduced.  No step divides: each
+        scales the work vector by a positive integer and subtracts a
+        multiple of a row, which changes no later step's direction, so
+        the content comes out once, at the end, with the same primitive
+        result.
         """
-        rows, images = self._rows, self._images
         try:
             g = math.gcd(*vec.values())
         except TypeError:  # a Fraction entry: clear denominators first
             work = primitive(vec)[1]
         else:
             work = {c: v // g for c, v in vec.items() if v}  # g == 0 only when every v is 0
+        rows, base, reduced = self._rows, self._base, False
         while work:
             p = max(work)
             row = rows.get(p)
             if row is None:
-                if p not in images:
-                    return work
-                row = self.row(p)
-            a, b = row[p], work.pop(p)
-            g = math.gcd(a, b)
-            ma, mb = a // g, b // g
+                b = base(p)
+                if b is None:
+                    break
+                row = rows[b]
+            else:
+                b = p
+            reduced = True
+            shift = p - b
+            a, m = row[b], work[p]
+            g = math.gcd(a, m)
+            ma, mb = a // g, m // g
             if ma != 1:
                 work = {c: ma * v for c, v in work.items()}
-            for c, rv in row.items():
-                if c == p:
-                    continue
+            for c, rv in row.items():  # clears p, as ma*m == mb*a
+                c += shift
                 nv = work.get(c, 0) - mb * rv
                 if nv:
                     work[c] = nv
                 else:
-                    work.pop(c, None)
-            if work:
-                g = math.gcd(*work.values())
-                if g > 1:
-                    work = {c: v // g for c, v in work.items()}
-        return {}
+                    del work[c]
+        if reduced and work:
+            g = math.gcd(*work.values())
+            if g > 1:
+                work = {c: v // g for c, v in work.items()}
+        return work
 
     def add(self, vec):
         """Insert a vector; the row stored for it when it enlarged the
         span, else None.
 
         The row is the echelon's own dict, which it never changes
-        afterwards.
+        afterwards.  With a step, it is the base of a new chain.
         """
         r = self.residual(vec)
         if not r:
@@ -157,6 +226,8 @@ class SparseEchelon:
         if r[p] < 0:
             r = {c: -v for c, v in r.items()}
         self._rows[p] = r
+        if self._step is not None:
+            self._chain(p)
         return r
 
     def contains(self, vec):
@@ -164,21 +235,23 @@ class SparseEchelon:
 
     def reduce_fractions(self, vec):
         """Exact Fraction residual (canonical representative modulo the span)."""
-        rows, images = self._rows, self._images
+        rows, base = self._rows, self._base
         work = {c: Fraction(v) for c, v in vec.items() if v}
+        top = None
         while True:
-            hit = None
-            for p in sorted(work, reverse=True):
-                if p in rows or p in images:
-                    hit = p
+            # columns from top up are no pivots, and no step changes them
+            for p in sorted((c for c in work if top is None or c < top), reverse=True):
+                b = base(p)
+                if b is not None:
                     break
-            if hit is None:
+            else:
                 return work
-            row = self.row(hit)
-            scale = work[hit] / row[hit]
+            row, shift, top = rows[b], p - b, p
+            scale = work[p] / row[b]
             for c, rv in row.items():
-                nv = work.get(c, Fraction(0)) - scale * rv
+                c += shift
+                nv = work.get(c, 0) - scale * rv
                 if nv:
                     work[c] = nv
                 else:
-                    work.pop(c, None)
+                    del work[c]

@@ -13,7 +13,9 @@ the degree of a product or power before it multiplies.  Every product
 and power of degree above MAX_DEGREE is rejected, since its normal
 ordering grows with the degree, except where the result is one term in
 closed form: a power of one term in x alone or d alone, and a product
-of single terms in which no x meets a d of an earlier factor.
+of single terms in which no x meets a d of an earlier factor.  Such a
+power is refused only when its coefficient would have more digits than
+the interpreter prints.
 A power of any other base counts its exponent times the base's degree,
 at least 1, as __pow__ takes that many products even of a constant.
 A power of a base with several terms is multiplied out only once it
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .weyl import WeylElement
@@ -192,7 +195,7 @@ class _Parser:
             _, value, pos = self.expect("int")
             base, k = (e.base, e.k * int(value)) if isinstance(e, _Power) else (e, int(value))
             if base.is_pure_term:
-                e = base ** k
+                e = _closed_power(base, k, pos)
                 continue
             degree = k * max(base.degree() or 0, 1)
             if degree > MAX_DEGREE:
@@ -282,6 +285,25 @@ def _product_shape(left, right, pos):
 def _value(e):
     """e as a WeylElement, multiplying out a deferred power."""
     return e.base ** e.k if isinstance(e, _Power) else e
+
+
+def _closed_power(base, k, pos):
+    """base ** k for a base of one term in x alone or d alone, refused
+    before it is taken when its coefficient could not be printed.
+
+    c ** k has a numerator of at least 2^(k * floor(log2 |num c|)), and a
+    denominator likewise, so above the bits that the interpreter's
+    int-to-string limit prints (sys.get_int_max_str_digits, or its
+    default when the limit is off) the power is refused; the exponent
+    itself is free.
+    """
+    c = Fraction(next(iter(base.terms.values())))
+    bits = k * (max(abs(c.numerator), c.denominator).bit_length() - 1)
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    digits = (get_limit() if get_limit else 0) or getattr(sys.int_info, "default_max_str_digits", 4300)
+    if bits > digits * math.log2(10):
+        raise ParseError(f"power with a coefficient of at least 2^{bits}, more than {digits} digits", pos)
+    return base ** k
 
 
 def _one_term(factors):

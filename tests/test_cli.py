@@ -307,6 +307,20 @@ def test_product_above_max_work_is_usage_error_at_once(capsys, alpha):
     assert f"term products above {MAX_WORK}" in err
 
 
+@pytest.mark.parametrize("alpha", [
+    "(2*x)^100000000000000000000", "(1/3)^100000000",
+], ids=["integer-coefficient", "fraction-coefficient"])
+def test_closed_form_power_of_unprintable_coefficient_is_usage_error_at_once(capsys, alpha):
+    # a one-term power costs no product, but its coefficient c^k is
+    # charged k*floor(log2) bits of c's numerator and denominator before
+    # it is taken, and refused past what an int prints
+    start = time.perf_counter()
+    code, out, err = run(capsys, "twist", "--f", "x", "--alpha", alpha)
+    assert time.perf_counter() - start < 1
+    assert_usage_error(code, out, err)
+    assert "digits" in err
+
+
 def test_closed_form_power_still_parses(capsys):
     code, out, _ = run(capsys, "twist", "--f", "x*y", "--alpha", "x^99999999999999999999",
                        "--format", "json")

@@ -1,5 +1,6 @@
 """Two-term resolution engine: truncation tables, twists, actions."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -138,27 +139,21 @@ def test_cusp_echelon_pinned(level, width, rank, nnz, bits):
         assert row[max(row)] > 0
 
 
-def _shift_pivot_hits(engine):
-    """Rows whose pivot the column lookup maps, after checking each one."""
-    index, hits, rows = engine.index, 0, engine.echelon.rows
-    for p, q in index.shifted_pivots(list(rows)):
-        row = rows[p]
-        if q is not None:
-            assert q == max(index.shifted(row)), p
-            hits += 1
-    return hits
-
-
 def test_shifted_pivot_is_the_pivot_of_the_shifted_row():
-    # where the lookup gives a column for a stored row's pivot, that
-    # column is the largest of the shifted row, so the shifted row can
-    # enter the echelon as an image of its source
-    engine = self_engine(P(CUSP))
-    engine.ext1_levels(4, 4, 3)
-    assert _shift_pivot_hits(engine) == engine.echelon.rank
-    engine = CokernelEngine(parse_model("free:2"), P("x*y"))
-    engine.widen_to(6)
-    assert _shift_pivot_hits(engine) == engine.echelon.rank
+    # a row shifted by x_i pivots at its pivot plus the index's step, so
+    # the echelon can keep every shift of a stored row as a member of its
+    # chain; checked on every row, members built
+    for engine, shift in (
+        (self_engine(P(CUSP)), lambda e: e.ext1_levels(4, 4, 3)),
+        (CokernelEngine(parse_model("free:2"), P("x*y")), lambda e: e.widen_to(6)),
+    ):
+        shift(engine)
+        index, module = engine.index, engine.index.module
+        rows = engine.echelon.rows
+        assert len(rows) == engine.echelon.rank
+        for p, row in rows.items():
+            shifted = index.vector({module.shift(lab): v for lab, v in index.combination(row).items()})
+            assert max(shifted) == p + index.step, p
 
 
 @pytest.mark.parametrize("spec", [
@@ -168,8 +163,8 @@ def test_shifted_pivot_is_the_pivot_of_the_shifted_row():
 def test_label_order_column_map_matches_the_generic_map(spec):
     # through degree 8 the packed columns sort the labels in the order
     # ModuleIndex numbers them, give each label's degree by a shift, and
-    # map x_i to adding weights[i]; a shift by x_i is that addition on
-    # every column, and its unshifted labels are those ModuleIndex finds
+    # map x_i to adding weights[i]; a shift by x_i adds the index's step
+    # to every column, and its unshifted labels are those ModuleIndex finds
     module = parse_model(spec)
     packed, numbered = MonomialIndex(module), ModuleIndex(module)
     assert isinstance(CokernelEngine(module, parse("x", module.n)).index, MonomialIndex)
@@ -186,11 +181,13 @@ def test_label_order_column_map_matches_the_generic_map(spec):
         assert packed.labels_of_degree(d) == numbered.labels_of_degree(d)
         assert packed.prefix_size(d) == numbered.prefix_size(d)
     if hasattr(module, "shift_x"):
-        columns = cols[: numbered.prefix_size(7)]  # their images lie in degree 8
-        assert packed.shifted_pivots(columns) == [(c, column(module.shift(lab))) for c, lab in zip(columns, labels)]
-        assert packed.shifted({c: 1 for c in columns}) == {column(module.shift(lab)): 1 for lab in labels[: len(columns)]}
+        assert packed.step == module.columns.weights[module.shift_x]
+        columns = cols[: numbered.prefix_size(7)]  # their shifts lie in degree 8
+        assert [column(module.shift(lab)) for lab in labels[: len(columns)]] == [c + packed.step for c in columns]
         for d in range(9):
             assert packed.unshifted_labels(d) == numbered.unshifted_labels(d)
+    else:
+        assert packed.step is None
 
 
 def test_packed_columns_hold_every_degree_through_their_limit():
@@ -218,21 +215,24 @@ def test_packed_columns_hold_every_degree_through_their_limit():
 
 def test_shifted_pivot_stops_where_the_column_map_falls():
     # Kummer's shift lowers the degree of (k, j) for k < 0, so its column
-    # map falls at the first such label; from there on the lookup gives
-    # None and shifted rows are reduced as they are added
+    # map falls at the first such label, and the shift of a row need not
+    # pivot at the shift of its pivot: numbered columns keep no chains,
+    # and every shifted row is reduced as it is added
     index = ModuleIndex(KummerICModule(Fraction(1, 2)))
     index.extend_to(4)
     size = index.prefix_size(4)
     cols = [max(index.shifted({c: 1})) for c in range(size)]
     fall = next(c for c in range(1, size) if cols[c] < cols[c - 1])
     assert fall == 1
-    pivots = [q for _, q in index.shifted_pivots(list(range(size)))]
-    assert pivots == cols[:fall] + [None] * (size - fall)
+    assert max(index.shifted({0: 1, 1: 1})) == cols[0] != cols[1]
     # the column map built in one call agrees with the one built column
     # by column
     fresh = ModuleIndex(KummerICModule(Fraction(1, 2)))
     fresh.extend_to(4)
-    assert [q for _, q in fresh.shifted_pivots(list(range(size)))] == pivots
+    assert fresh.shifted(dict.fromkeys(range(size), 1)) == dict.fromkeys(cols, 1)
+    engine = CokernelEngine(KummerICModule(Fraction(1, 2)), P(CUSP))
+    engine.widen_to(6)
+    assert engine.stored and engine.echelon.rank == len(engine.echelon._rows)
 
 
 def test_no_shifted_kummer_insert_reduces_to_zero(monkeypatch):
@@ -265,15 +265,31 @@ def test_no_shifted_kummer_insert_reduces_to_zero(monkeypatch):
     assert all(row is not None for row in results)
 
 
-def test_cusp_rows_stay_images_until_read():
-    # the cusp at level 4 stores 11,446 rows; most are shifts of a row
-    # one degree lower with a free pivot, kept as images and never built
+def test_cusp_rank_comes_from_1513_base_rows():
+    # the cusp at level 4 has rank 11,446, and the echelon stores only
+    # 1,513 rows: every other row is a member of a chain, the x-shift of
+    # a stored row, which nothing builds until rows is read
     engine = self_engine(P(CUSP))
     engine.ext1_levels(4, 4, 3)
-    images = len(engine.echelon._images)
     assert engine.echelon.rank == 11446
-    assert images >= 0.7 * engine.echelon.rank
-    assert len(engine.echelon._rows) == engine.echelon.rank - images
+    assert len(engine.echelon._rows) == 1513
+    assert len(engine.echelon.rows) == 11446
+
+
+# sha256 of the cusp's rows at level 4 in label form: each row a sorted
+# list of (label, coefficient), the rows sorted, hashed as their repr.
+CUSP_ROWS_SHA256 = "69bdd1bbce105d01c63dccc66f33ef3ed77fb0322c937120665606da63e66553"
+
+
+def test_cusp_rows_pinned():
+    # every stored row, members of chains built: a change to the rows
+    # themselves (not only their counts) fails here
+    engine = self_engine(P(CUSP))
+    engine.ext1_levels(4, 4, 3)
+    combination = engine.index.combination
+    rows = sorted(sorted(combination(row).items()) for row in engine.echelon.rows.values())
+    assert len(rows) == 11446
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CUSP_ROWS_SHA256
 
 
 # (rank, level_dims) after each whole label width, from width 0: the

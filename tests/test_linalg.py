@@ -2,12 +2,13 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxext.linalg import SparseEchelon
+from dxext.linalg import SparseEchelon, primitive
 
 
 def dense_rank(rows, ncols):
@@ -164,42 +165,64 @@ def test_reduce_fractions_properties():
         assert (red == {}) == ech.contains(vec)
 
 
-def _shift_columns(row):
-    # a column map that keeps the order of columns: c -> 2c + 1
-    return {2 * c + 1: v for c, v in row.items()}
+STEP = 5
 
 
-def test_images_agree_with_eager_rows():
-    # add_images records the image of a stored row without building it
-    # when its pivot is given and free, and adds it otherwise; every query
-    # answers as for an echelon fed the same rows one add at a time, and
-    # the pivot set, built rows and recorded images together, is the same
-    # (so is the number of pivots below every k)
+def _chain_echelon():
+    # chains along c -> c + STEP; a column's degree is c // STEP
+    return SparseEchelon(STEP, lambda c: c // STEP)
+
+
+def _int_rows(rng, nrows, ncols, density=0.3):
+    rows = [{c: rng.randrange(-6, 7) for c in range(ncols) if rng.random() < density} for _ in range(nrows)]
+    return [{c: v for c, v in row.items() if v} for row in rows if any(row.values())]
+
+
+def test_chains_agree_with_eager_rows():
+    # Oracle: an echelon fed every shifted row through add.  At each
+    # generation it adds the shift by STEP of every row stored in the
+    # generation before, first those whose pivot is free (each is stored
+    # as it is), then the others in order, then the generation's new
+    # rows.  The chain echelon must store the same rows, report the
+    # shifted rows that met a stored row, count the pivots per degree,
+    # and answer every query the same way.
     rng = random.Random(40505)
-    recorded = reduced = 0
-    for _ in range(30):
-        lazy, eager = SparseEchelon(_shift_columns), SparseEchelon()
-        for row in random_rows(rng, rng.randrange(1, 6), 5):
-            lazy.add(row)
-            eager.add(row)
-        sources = sorted(lazy._rows)
-        rng.shuffle(sources)
-        pairs = [(p, None if rng.random() < 0.3 else 2 * p + 1) for p in sources]
-        want = [_pivot(eager.add(_shift_columns(eager.rows[p]))) for p in sources]
-        assert lazy.add_images(pairs) == want
-        recorded += len(lazy._images)
-        reduced += sum(q is None for _, q in pairs)
-        assert lazy.rank == eager.rank
-        assert sorted([*lazy._rows, *lazy._images]) == sorted(eager.rows)
-        top = 2 * max(sources, default=0) + 2
-        for vec in random_rows(rng, 6, top):
-            assert lazy.contains(vec) == eager.contains(vec)
-            assert lazy.reduce_fractions(vec) == eager.reduce_fractions(vec)
-        for p in sorted(eager.rows, reverse=True):
-            assert lazy.row(p) == eager.rows[p]
-        assert lazy.rows == eager.rows
-        assert not lazy._images
-    assert recorded > 30 and reduced > 10
+    met = grown = 0
+    for _ in range(60):
+        chains, eager = _chain_echelon(), SparseEchelon()
+        last, degrees = [], Counter()  # rows eager stored in the last generation, in chain order
+        for gen in range(rng.randrange(3, 9)):
+            if gen:
+                members, pivots = chains.extend()
+                shifted = [{c + STEP: v for c, v in row.items()} for row in last]
+                taken = [eager.row(max(vec)) is not None for vec in shifted]
+                stored = {}
+                for i in sorted(range(len(shifted)), key=taken.__getitem__):
+                    stored[i] = eager.add(shifted[i])
+                last = [stored[i] for i in range(len(shifted)) if stored[i] is not None]
+                assert pivots == [max(stored[i]) for i in range(len(shifted)) if taken[i] and stored[i] is not None]
+                assert sum(members.values()) == taken.count(False)
+                degrees.update(members)
+                degrees.update(p // STEP for p in pivots)
+                met += sum(taken)
+                grown += taken.count(False)
+            for row in _int_rows(rng, rng.randrange(1, 5), 4 * STEP):
+                ours = chains.add(row)
+                assert ours == eager.add(row)
+                if ours is not None:
+                    last.append(ours)
+                    degrees[max(ours) // STEP] += 1
+            assert chains.rank == eager.rank
+            assert chains.rows == eager.rows
+            assert degrees == Counter(p // STEP for p in eager.rows)
+            top = max(eager.rows, default=0) + 2
+            for p in range(top):
+                assert chains.row(p) == eager.rows.get(p)
+            for vec in _int_rows(rng, 6, top):
+                assert chains.contains(vec) == eager.contains(vec)
+                assert chains.residual(vec) == eager.residual(vec)
+                assert chains.reduce_fractions(vec) == eager.reduce_fractions(vec)
+    assert met > 30 and grown > 100
 
 
 def _pivot(row):
@@ -220,14 +243,59 @@ def test_int_vector_enters_as_its_fraction_copy():
 
 
 def test_image_chain_materialises_without_recursion():
-    # row(p) walks a chain of images iteratively, so a chain longer than
-    # the interpreter's recursion limit still materialises
+    # a chain whose members, the images of its base, outnumber the
+    # interpreter's recursion limit: nothing builds them until they are
+    # read, and then row(p), rows and contains read them directly
     length = 1500
-    ech = SparseEchelon(lambda row: {c + 1: v for c, v in row.items()})
+    ech = SparseEchelon(1, lambda c: c)
     ech.add({0: Fraction(2), 1: Fraction(-4)})
-    assert ech.add_images([(p, p + 1) for p in range(1, length)]) == list(range(2, length + 1))
+    for gen in range(1, length):
+        assert ech.extend() == ({1 + gen: 1}, [])  # the base's degree is 1
     assert ech.rank == length
-    assert len(ech._images) == length - 1
+    assert list(ech._rows) == [1]
     assert ech.row(length) == {length - 1: -1, length: 2}
-    assert not ech._images
+    assert ech.row(length + 1) is None
     assert ech.contains({length - 1: 1, length: -2})
+    assert not ech.contains({length: 1, length + 1: 1})
+    rows = ech.rows
+    assert len(rows) == length and rows[length] == ech.row(length)
+    assert list(ech._rows) == [1]
+
+
+def _leading_reduction(rows, vec):
+    """vec over Q with its largest column reduced while a row pivots
+    there, by plain Fraction elimination, then made primitive."""
+    work = {c: Fraction(v) for c, v in vec.items() if v}
+    while work and max(work) in rows:
+        p = max(work)
+        row, scale = rows[p], work[p] / rows[p][p]
+        for c, v in row.items():
+            work[c] = work.get(c, 0) - scale * v
+            if not work[c]:
+                del work[c]
+    return primitive(work)[1] if work else {}
+
+
+def test_residual_divides_the_content_once():
+    # residual scales by integers and divides out the content only at
+    # the end; it must equal the primitive form of the reduction that
+    # divides at every step, signs kept, on plain and chain echelons, and
+    # it agrees with reduce_fractions up to a nonzero scale
+    rng = random.Random(40506)
+    for chained in (False, True):
+        for _ in range(40):
+            ech = _chain_echelon() if chained else SparseEchelon()
+            for gen in range(3):
+                if chained and gen:
+                    ech.extend()
+                for row in _int_rows(rng, rng.randrange(1, 5), 3 * STEP):
+                    ech.add({c: 7 * v for c, v in row.items()})
+            rows = ech.rows
+            for vec in _int_rows(rng, 6, 4 * STEP, 0.5):
+                vec = {c: v * rng.choice([1, 2, 6, -15]) for c, v in vec.items()}
+                res = ech.residual(vec)
+                assert res == _leading_reduction(rows, vec)
+                assert not res or math.gcd(*res.values()) == 1
+                full = primitive(ech.reduce_fractions(vec))[1] if ech.reduce_fractions(vec) else {}
+                again = ech.reduce_fractions(res)
+                assert (primitive(again)[1] if again else {}) in (full, {c: -v for c, v in full.items()})

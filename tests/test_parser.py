@@ -1,5 +1,9 @@
 """Operator expression parser: grammar, aliases, errors, roundtrips."""
 
+import math
+import sys
+from fractions import Fraction
+
 import pytest
 
 from dxext.parser import MAX_DEGREE, MAX_TERMS, MAX_WORK, ParseError, infer_variable_count, parse
@@ -120,6 +124,21 @@ def test_large_powers_only_in_closed_form():
                  "(x - x)^99999999999999999999", "x^2 (x + 1)^3^100"):
         with pytest.raises(ParseError, match="above"):
             parse(text, 2)
+
+
+def test_closed_form_power_refused_where_its_coefficient_cannot_print():
+    # c^k is charged k*floor(log2) bits of c's numerator and denominator
+    # before it is taken; up to the bits that the int-to-string limit
+    # prints it parses, above them it is refused, at any exponent
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    top = int(digits * math.log2(10))
+    power = parse(f"(2 x)^{top}", 1)
+    assert power == W(1, (top,), (0,), 2 ** top) and str(power)
+    assert parse("(-x)^99999999999999999999", 1) == W(1, (99999999999999999999,), (0,), -1)
+    assert parse("(1/2 dx)^10", 1) == W(1, (0,), (10,), Fraction(1, 1024))
+    for text in (f"(2 x)^{top + 1}", "(1/3)^100000000", "(3/2 dx)^99999999999999999999", "2^100000"):
+        with pytest.raises(ParseError, match=f"more than {digits} digits"):
+            parse(text, 1)
 
 
 def test_products_and_nested_powers_bounded_by_degree():
