@@ -9,7 +9,7 @@ import pytest
 
 from dxext.cli import build_parser, main
 from dxext.grading import MAX_EXPONENT
-from dxext.parser import MAX_DEGREE, MAX_TERMS, MAX_WORK
+from dxext.parser import BUDGET, parse
 from dxext.quotients import MAX_ORDER
 from dxext.verify import CheckResult
 
@@ -260,51 +260,66 @@ def test_bad_model_or_character_is_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ("twist", "--f", "x*y", "--alpha", "(x + dx)^100000"),
-    ("act", "--f", "x*y", "--element", "1", "--alpha", "(x dx)^65"),
+    ("act", "--f", "x*y", "--element", "1", "--alpha", "(x dx)^99999999999999999999"),
     ("ext-self", "--f", "(x + y)^99999999999999999999", "--max-deg", "1"),
 ], ids=["alpha-sum", "alpha-mixed-term", "f-sum"])
 def test_power_above_max_exponent_is_usage_error(capsys, argv):
     # these bases have no closed-form power; parsing them unbounded
-    # would not end
+    # would not end, so they are refused once they spend the budget
     code, out, err = run(capsys, *argv)
     assert_usage_error(code, out, err)
-    assert f"above {MAX_DEGREE}" in err
+    assert f"budget of {BUDGET} terms" in err
+
+
+def _assert_refused_at_once(capsys, alpha, f="x*y"):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "twist", "--f", f, "--alpha", alpha)
+    assert time.perf_counter() - start < 1
+    assert_usage_error(code, out, err)
+    assert f"budget of {BUDGET} terms" in err
 
 
 @pytest.mark.parametrize("alpha", [
     "(x + dx)^64 (x + dx)^64", "((x + dx)^16)^8",
 ], ids=["product-of-powers", "nested-power"])
 def test_product_above_max_degree_is_usage_error_at_once(capsys, alpha):
-    # the degree of a product or power is known before it is multiplied
-    # out, so the refusal costs no product at all
-    start = time.perf_counter()
-    code, out, err = run(capsys, "twist", "--f", "x*y", "--alpha", alpha)
-    assert time.perf_counter() - start < 1
-    assert_usage_error(code, out, err)
-    assert f"degree 128 above {MAX_DEGREE}" in err
+    # the product or nested power is metered as it is taken, and
+    # refused once it has spent the budget
+    _assert_refused_at_once(capsys, alpha)
 
 
 def test_power_above_max_terms_is_usage_error_at_once(capsys):
-    # degree 64 is within MAX_DEGREE, but in four generators the power
-    # would have up to C(68, 4) terms; it is refused before any product
-    start = time.perf_counter()
-    code, out, err = run(capsys, "twist", "--f", "x*y", "--alpha", "(x + y + dx + dy)^64")
-    assert time.perf_counter() - start < 1
-    assert_usage_error(code, out, err)
-    assert f"814385 terms above {MAX_TERMS}" in err
+    # in four generators the power grows too many terms to fit the budget
+    _assert_refused_at_once(capsys, "(x + y + dx + dy)^64")
 
 
 @pytest.mark.parametrize("alpha", [
     "(x + dx)^32 (x + dx)^32", "(x + dx)^32 * (x + dx)^16 * (x + dx)^16",
-], ids=["two-factors", "three-factors"])
+    "dx^100000 x^100000", "dx^20000 x^99999999999999999999",
+], ids=["two-factors", "three-factors", "leibniz-factorial", "leibniz-falling-power"])
 def test_product_above_max_work_is_usage_error_at_once(capsys, alpha):
-    # within MAX_DEGREE and MAX_TERMS, but the term products it would
-    # take are counted before any of them is
-    start = time.perf_counter()
-    code, out, err = run(capsys, "twist", "--f", "x*y", "--alpha", alpha)
-    assert time.perf_counter() - start < 1
-    assert_usage_error(code, out, err)
-    assert f"term products above {MAX_WORK}" in err
+    # each power fits the budget, but not the term products of both; a
+    # pair whose Leibniz coefficients run past a million bits is refused
+    # before it is expanded
+    _assert_refused_at_once(capsys, alpha)
+
+
+def test_long_sum_is_usage_error_at_once(capsys):
+    # the budget covers the whole parse: twenty copies of a power that
+    # parses alone are refused, not parsed one by one
+    _assert_refused_at_once(capsys, " + ".join(["(x + dx)^64"] * 20), f="x")
+
+
+@pytest.mark.parametrize("f, alpha", [
+    ("x*y*z", "(x + y + z)^30"), ("z", "(x + dx)^64"), ("z", "(x + y + dx + dy)^15"),
+], ids=["three-generators", "one-pair", "two-pairs"])
+def test_inputs_within_the_budget_parse(capsys, f, alpha):
+    # alpha commutes with f, so the twist is alpha itself
+    code, out, _ = run(capsys, "twist", "--f", f, "--alpha", alpha, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["result"]["beta"] == data["input"]["alpha"]
+    assert parse(data["result"]["beta"], 3) == parse(alpha, 3)
 
 
 @pytest.mark.parametrize("alpha", [

@@ -2,11 +2,15 @@
 
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dxext.parser import MAX_DEGREE, MAX_TERMS, MAX_WORK, ParseError, infer_variable_count, parse
+from dxext import weyl
+from dxext.parser import BUDGET, ParseError, infer_variable_count, parse
 from dxext.weyl import WeylElement
 
 
@@ -116,13 +120,14 @@ def test_str_of_parse_is_stable():
 
 def test_large_powers_only_in_closed_form():
     # one term in x alone or d alone has a closed-form power at any
-    # exponent; any other base is bounded by MAX_DEGREE
+    # exponent; a power of any other base is that many metered products
     assert parse("x^99999999999999999999", 1) == W(1, (99999999999999999999,), (0,))
     assert parse("(2 dx dy)^100", 2) == W(2, (0, 0), (100, 100), 2 ** 100)
-    assert len(parse(f"(x + dx)^{MAX_DEGREE}", 1).terms) == 1089
-    for text in ("(x + dx)^100000", f"(x + dx)^{MAX_DEGREE + 1}", "(x dx)^65", "(x + y)^65",
-                 "(x - x)^99999999999999999999", "x^2 (x + 1)^3^100"):
-        with pytest.raises(ParseError, match="above"):
+    power = parse("(x + dx)^64", 1)
+    assert power == parse("x + dx", 1) ** 64 and len(power.terms) == 1089
+    for text in ("(x + dx)^100000", "(x - x)^99999999999999999999", "(x dx)^99999999999999999999",
+                 "(x + y)^99999999999999999999"):
+        with pytest.raises(ParseError, match=f"budget of {BUDGET} terms"):
             parse(text, 2)
 
 
@@ -141,76 +146,208 @@ def test_closed_form_power_refused_where_its_coefficient_cannot_print():
             parse(text, 1)
 
 
-def test_products_and_nested_powers_bounded_by_degree():
-    # Bernstein degree adds under products, so a product or power above
-    # MAX_DEGREE is refused before it is multiplied out
-    for text in ("(x + dx)^64 (x + dx)^64", "((x + dx)^16)^8", "(x + dx)^64 * x",
-                 "((x dx)^8)^5", "dx^40 x^40", "(x^99999999999999999999 + 1) y"):
-        with pytest.raises(ParseError, match=f"above {MAX_DEGREE}"):
-            parse(text, 2)
-    # within the bound they multiply out as before
+def _expansions(monkeypatch):
+    """A list that grows by the terms of every term pair weyl._mono_mul
+    expands from now on."""
+    counts = []
+    real = weyl._mono_mul
+
+    def counting(a, b):
+        out = real(a, b)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(weyl, "_mono_mul", counting)
+    return counts
+
+
+def _refused_within_budget(monkeypatch, texts, n=None):
+    counts = _expansions(monkeypatch)
+    for text in texts:
+        counts.clear()
+        with pytest.raises(ParseError, match=f"budget of {BUDGET} terms"):
+            parse(text, n)
+        assert sum(counts) <= BUDGET
+
+
+def test_products_and_nested_powers_bounded_by_degree(monkeypatch):
+    # degree bounds nothing: a product or nested power is metered like
+    # any other, and refused once it has spent the budget
+    _refused_within_budget(monkeypatch, ("(x + dx)^64 (x + dx)^64", "((x + dx)^16)^8"), 2)
+    # ones of degree above 64 that cost little parse
+    x, y, dx = (parse(name, 2) for name in ("x", "y", "dx"))
+    big = 99999999999999999999
+    for text, value, terms in [
+        ("(x + dx)^65", (x + dx) ** 65, 1122),
+        ("(x dx)^65", (x * dx) ** 65, 65),
+        ("(x + dx)^64 * x", (x + dx) ** 64 * x, 1121),
+        ("((x dx)^8)^5", (x * dx) ** 40, 40),
+        ("dx^40 x^40", dx ** 40 * x ** 40, 41),
+        (f"(x^{big} + 1) y", W(2, (big, 1), (0, 0)) + y, 2),
+        ("x^2 (x + 1)^3^100", x ** 2 * (x + 1) ** 300, 301),
+        ("(x + y)^65", (x + y) ** 65, 66),
+    ]:
+        assert parse(text, 2) == value and len(value.terms) == terms
     assert parse("(x + dx)^8 (x + dx)^8", 1) == parse("((x + dx)^2)^8", 1) == parse("(x + dx)^16", 1)
     assert len(parse("dx^32 x^32", 1).terms) == 33
     # products of two single terms that stay one term keep their closed form
-    big = 99999999999999999999
     assert parse(f"x^{big} y dx^{big}", 2) == W(2, (big, 1), (big, 0))
     assert parse(f"(x^{big})^3 x", 1) == W(1, (3 * big + 1,), (0,))
     assert parse(f"2 x^{big} * 3 dy^{big}", 2) == W(2, (big, 0), (0, big), 6)
 
 
 def test_products_bounded_by_terms(monkeypatch):
-    # in several variables a product within MAX_DEGREE can still have
-    # too many terms; it is refused before anything is multiplied, by its
-    # term pairs capped by C(D + v, v) for the v generators it contains
-    from dxext import weyl
-
-    calls = []
-    real = weyl.mul_terms
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(weyl, "mul_terms", counting)
-    for text in ("(x + y + dx + dy)^64", "(x + y + dx + dy)^16", "(x + y + z)^30",
-                 "((x + y + dx + dy)^4)^4"):
-        with pytest.raises(ParseError, match=f"terms above {MAX_TERMS}"):
-            parse(text)
-    assert not calls
-    # the product of two powers that pass is refused before either power
-    # is multiplied out
-    with pytest.raises(ParseError, match=f"terms above {MAX_TERMS}"):
-        parse("(x + y + dx + dy)^8 (x + y + dx + dy)^8")
-    assert not calls
-    # C(19, 4) = 3876 monomials of degree <= 15 in x, y, dx, dy fit; only
-    # the generators that occur count, so (x + y)^64 passes in two variables
-    assert len(parse("(x + y + dx + dy)^15").terms) == 2160
+    # in several variables a power is refused once its products have
+    # spent the budget, with no prediction of its terms
+    _refused_within_budget(monkeypatch, (
+        "(x + y + dx + dy)^64", "((x + y + dx + dy)^4)^4", "(x + y + dx + dy)^8 (x + y + dx + dy)^8"))
+    # the ones within it parse whatever their degree or term count
+    base = parse("x + y + dx + dy")
+    for text, value, terms in [
+        ("(x + y + dx + dy)^15", base ** 15, 2160),
+        ("(x + y + dx + dy)^16", base ** 16, 2685),
+        ("(x + y + dx + dy)^7 (x + y + dx + dy)^7", base ** 7 * base ** 7, 1716),
+        ("(x + y + z)^30", parse("x + y + z") ** 30, 496),
+    ]:
+        assert parse(text) == value and len(value.terms) == terms
     assert len(parse("(x + y)^64", 2).terms) == 65
     assert len(parse("(x + dx)^64", 2).terms) == 1089
 
 
 def test_products_bounded_by_work(monkeypatch):
-    # a product whose result fits MAX_TERMS can still take many term
-    # products: 289 x 289 pairs, each expanding to up to 33 terms, took
-    # 1.6 s; the whole term is refused before anything in it is multiplied
-    from dxext import weyl
-
-    calls = []
-    real = weyl.mul_terms
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(weyl, "mul_terms", counting)
-    for text in ("(x + dx)^32 (x + dx)^32", "(x + dx)^32 * (x + dx)^16 * (x + dx)^16",
-                 "(x + dx)^24 (x + dx)^24", "x^2 (x + dx)^32 (x + dx)^30"):
-        with pytest.raises(ParseError, match=f"term products above {MAX_WORK}"):
+    # every term pair is charged the terms it expands to, weighted by the
+    # bits of their Leibniz coefficients comb(d, k) perm(x, k), before it
+    # is expanded, so a pair past the budget is refused with no expansion
+    counts = _expansions(monkeypatch)
+    for text in ("dx^99999999999999999999 x^99999999999999999999", "dx^100000 x^100000",
+                 "dx^20000 x^99999999999999999999", "dx^3000 x^3000"):
+        with pytest.raises(ParseError, match=f"budget of {BUDGET} terms"):
             parse(text, 1)
-    assert not calls
-    # powers are one product at a time, so the largest ones still parse,
-    # as do products whose pairs expand little
-    assert len(parse("(x + dx)^64", 1).terms) == 1089
-    assert len(parse("(x + y + dx + dy)^15", 2).terms) == 2160
+    assert not counts
+    assert len(parse("dx^1000 x^1000", 1).terms) == 1001
+    _refused_within_budget(monkeypatch, (
+        "(x + dx)^32 (x + dx)^32", "(x + dx)^32 * (x + dx)^16 * (x + dx)^16",
+        "(x + dx)^24 (x + dx)^24", "x^2 (x + dx)^32 (x + dx)^30"), 1)
+    # products whose pairs expand little parse
     assert parse("(x + dx)^16 (x + dx)^16", 1) == parse("(x + dx)^32", 1)
     assert parse("(x + y)^32 (x + y)^32", 2) == parse("(x + y)^64", 2)
+
+
+def test_budget_is_per_parse(monkeypatch):
+    # the budget covers the whole text, not one product: one copy of a
+    # power parses, a sum of twenty is refused within the budget
+    assert parse("(x + dx)^64", 1) == parse("x + dx", 1) ** 64
+    _refused_within_budget(monkeypatch, [" + ".join(["(x + dx)^64"] * 20)], 1)
+    # a long sum of terms costs no products
+    text = " + ".join(f"x^{i}" for i in range(3000))
+    assert parse(text, 1) == WeylElement(1, {((i,), (0,)): 1 for i in range(3000)})
+
+
+def test_names_are_charged_by_the_variable_count():
+    # an atom in n variables is charged (n + 6)/8 terms, so a text in
+    # more than 8 * BUDGET - 6 variables is refused at its first name,
+    # before it builds an exponent tuple
+    with pytest.raises(ParseError, match=f"budget of {BUDGET} terms"):
+        parse(f"x{8 * BUDGET - 5}")
+    assert parse("x1 + x100000") == WeylElement.x(0, 100000) + WeylElement.x(99999, 100000)
+
+
+@pytest.mark.parametrize("text", [
+    "(3^8000 x + 1/3^8000)^300", "(2^14000 x + 2^14000)^400", "(1/3 x + 1/5 dx)^300",
+    "(x1 + d1)^100000 + x16", " + ".join(["dx^300 x^300"] * 60),
+], ids=["fraction-bits", "integer-bits", "fractions", "sixteen-variables", "leibniz-bits"])
+def test_costly_arithmetic_spends_the_budget_sooner(monkeypatch, text):
+    # a term pair is weighted by the cost of its coefficients' arithmetic
+    # and by the variable count, so every parse ends at about the same time;
+    # it is timed before the expansions are counted, as counting costs time
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"budget of {BUDGET} terms"):
+        parse(text)
+    assert time.perf_counter() - start < 1
+    _refused_within_budget(monkeypatch, [text])
+
+
+def test_overlong_integer_literal_is_parse_error():
+    digits = sys.get_int_max_str_digits()
+    if not digits:  # no int-to-string limit: every literal reads
+        assert parse("1" * 5000, 1) == 10 ** 5000 // 9
+        return
+    long = "1" * (digits + 1)
+    for text, pos in ((f"x^{long}", 2), (long, 0), (f"1/{long}", 2), (f"x{long}", 1)):
+        for n in (1, None):
+            with pytest.raises(ParseError, match=f"{digits + 1} digits") as info:
+                parse(text, n)
+            assert info.value.pos == pos
+
+
+_NAMES = ("x", "y", "dx", "dy")
+_EXPONENTS = (0, 1, 2, 3, 7, 20, 99999999999999999999)
+
+
+@st.composite
+def _atoms(draw):
+    kind = draw(st.sampled_from(("name", "name", "int", "rational")))
+    if kind == "name":
+        name = draw(st.sampled_from(_NAMES))
+        return name, parse(name, 2)
+    num = draw(st.integers(0, 40))
+    if kind == "int":
+        return str(num), WeylElement.scalar(2, num)
+    den = draw(st.integers(1, 12))
+    return f"{num}/{den}", WeylElement.scalar(2, Fraction(num, den))
+
+
+@st.composite
+def _expressions(draw, depth=2):
+    """(text, tree) for a sum of products of factors, where a factor is
+    an atom or a parenthesized expression of lower depth raised to zero,
+    one or two powers.  A tree is a WeylElement leaf or (op, left, right),
+    with the int exponent on the right of a power."""
+    text, tree = "", None
+    for _ in range(draw(st.integers(1, 3))):
+        term, value = "", None
+        for _ in range(draw(st.integers(1, 3))):
+            if depth and draw(st.booleans()):
+                factor, factor_value = draw(_expressions(depth - 1))
+                factor = f"({factor})"
+                for _ in range(draw(st.integers(0, 2))):
+                    k = draw(st.sampled_from(_EXPONENTS))
+                    factor, factor_value = f"({factor})^{k}", ("^", factor_value, k)
+            else:
+                factor, factor_value = draw(_atoms())
+            term, value = (f"{term} {factor}", ("*", value, factor_value)) if term else (factor, factor_value)
+        if tree is None:
+            text, tree = term, value
+        else:
+            op = draw(st.sampled_from("+-"))
+            text, tree = f"{text} {op} {term}", (op, tree, value)
+    return text, tree
+
+
+def _evaluate(tree):
+    """The value of a tree by WeylElement arithmetic, with no budget."""
+    if isinstance(tree, WeylElement):
+        return tree
+    op, a, b = tree
+    a = _evaluate(a)
+    if op == "^":
+        return a ** b
+    b = _evaluate(b)
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_expressions())
+def test_grammar_parses_or_refuses_in_bounded_time(expression):
+    # each expression parses to its value or is refused with ParseError,
+    # within a fixed time; the value is built only when the parse
+    # succeeded, as only then is it known to cost little
+    text, tree = expression
+    start = time.perf_counter()
+    try:
+        value = parse(text, 2)
+    except ParseError:
+        value = None
+    assert time.perf_counter() - start < 2
+    if value is not None:
+        assert value == _evaluate(tree)
