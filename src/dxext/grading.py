@@ -13,13 +13,28 @@ from operator import mul
 
 __all__ = [
     "MAX_EXPONENT",
+    "MAX_VARIABLES",
     "MonomialColumns",
     "compositions",
     "monomials_of_degree",
+    "require_variables",
 ]
 
 SLOT_BITS = 16
 MAX_EXPONENT = (1 << SLOT_BITS) - 1
+MAX_VARIABLES = 16
+
+
+def require_variables(n):
+    """Refuse a computation in more than MAX_VARIABLES variables.
+
+    compositions recurses once per exponent slot and a packed column
+    holds SLOT_BITS bits per slot, so thousands of variables would fail
+    part way through (RecursionError) or exhaust memory; a ValueError
+    up front ends the computation cleanly instead.
+    """
+    if n > MAX_VARIABLES:
+        raise ValueError(f"{n} variables is above MAX_VARIABLES = {MAX_VARIABLES}")
 
 
 def compositions(total, slots):

@@ -90,9 +90,11 @@ rows on these columns.  The line, Kummer and delta models keep
 ModuleIndex's numbered columns and its column map of the shift.
 
 Rows without a row kernel come from act_word on the primitive integer
-form of f: the models act with int coefficients wherever they are
-integral, so those rows are integer multiples of v*f and need no
-Fraction arithmetic.
+form of f: one closed-form model action per term of f on the label
+(models.act(label, mono)), with int coefficients wherever they are
+integral, so those rows are integer multiples of v*f and need
+Fraction arithmetic only where the model's own coefficients do
+(Kummer's -(lam + k)).
 
 For one-sided questions exactness is free: v*f is nonzero of degree
 deg v + deg f whenever v is nonzero (degree additivity in a domain),
@@ -113,7 +115,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .grading import MAX_EXPONENT
+from .grading import MAX_EXPONENT, require_variables
 from .linalg import SparseEchelon, primitive
 from .models import DXQuotientModule, act_word
 from .rewrite import node_system
@@ -309,15 +311,16 @@ class CokernelEngine:
     s(r) goes through add.  On packed columns s is an x_i shift, which
     adds the index's step to every column, so the echelon keeps every
     stored row as the base of a chain (linalg.SparseEchelon): extend
-    grows each chain by one member that nothing builds, reduces through
-    add the members that meet a stored row, and counts the members per
-    degree; stored is then None.
+    grows each chain by one member that nothing builds, reduces and
+    stores the members that meet a stored row, and counts the members
+    per degree; stored is then None.
     """
 
     def __init__(self, module, f):
         _require_poly(f)
         if module.n != f.n:
             raise ValueError("variable count mismatch between module and f")
+        require_variables(f.n)
         self.index = MonomialIndex(module) if hasattr(module, "columns") else ModuleIndex(module)
         self.f = f
         row = getattr(module, "row", None)

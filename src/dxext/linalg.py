@@ -48,9 +48,10 @@ class SparseEchelon:
     generations: add stores a base at the current one, and extend starts
     the next.  Then every chain gains its next member, except a chain
     whose next member would pivot where the next base up its line
-    pivots: that member is reduced through add instead, after every
-    other chain has grown, in the order the chains were started, and a
-    row stored for it starts a chain in that chain's place.  degree
+    pivots: that member, primitive as its base is, is reduced against
+    the rows directly instead, after every other chain has grown, in
+    the order the chains were started, and a row stored for it starts a
+    chain in that chain's place.  degree
     gives a column's degree, which adding step raises by one; extend
     counts the new members by it.  rows builds every member.
     """
@@ -157,7 +158,8 @@ class SparseEchelon:
         pivots = []
         for b in sorted(met, key=order.__getitem__):
             shift = (width - start[b]) * step
-            row = self.add({c + shift: v for c, v in rows[b].items()})
+            # a stored row is primitive, and so is its shift
+            row = self._store(self._reduce({c + shift: v for c, v in rows[b].items()}))
             place = order.pop(b)
             if row is not None:
                 p = max(row)
@@ -181,6 +183,11 @@ class SparseEchelon:
             work = primitive(vec)[1]
         else:
             work = {c: v // g for c, v in vec.items() if v}  # g == 0 only when every v is 0
+        return self._reduce(work)
+
+    def _reduce(self, work):
+        """The primitive residual of work, a primitive integer vector that
+        it takes over and may change."""
         rows, base, reduced = self._rows, self._base, False
         while work:
             p = max(work)
@@ -219,7 +226,11 @@ class SparseEchelon:
         The row is the echelon's own dict, which it never changes
         afterwards.  With a step, it is the base of a new chain.
         """
-        r = self.residual(vec)
+        return self._store(self.residual(vec))
+
+    def _store(self, r):
+        """Store a nonzero residual r as a row with a positive pivot, and
+        return it; None for an empty r."""
         if not r:
             return None
         p = max(r)

@@ -1,9 +1,10 @@
 """Right modules over the Weyl algebra given by explicit basis actions.
 
 Each model lists its labeled basis one degree at a time and gives the
-right action of every algebra generator on a basis label as a finite
-combination of labels.  That is enough to act by arbitrary elements,
-to check the module axioms exactly, and to run the Ext computations.
+right action of every normal-ordered monomial on a basis label, in
+closed form, as a finite combination of labels.  That is enough to act
+by arbitrary elements, to check the module axioms exactly, and to run
+the Ext computations.
 
 The model protocol, read by the engine, its label indexes and the CLI:
 
@@ -12,8 +13,10 @@ The model protocol, read by the engine, its label indexes and the CLI:
   labels(d)              the labels of exact degree d, in a fixed order;
                          basis(module, m) concatenates labels(0..m)
   degree(label)          the degree d with label in labels(d)
-  act(label, gen)        label . gen as {label: int or Fraction}, for
-                         gen ("x", i) or ("d", i)
+  act(label, mono)       label . x^a d^b as {label: int or Fraction},
+                         for the monomial mono = (a, b) of exponent
+                         tuples; a generator acts through its unit
+                         monomial (generator(kind, i, n))
   mf_level_bound(f, m)   a label degree N such that the rows v*f with
                          deg v <= N span M*f meet F_m, or None when the
                          model has no such bound
@@ -67,6 +70,18 @@ realization of a right module: x^i . dx = -i x^(i-1) on the polynomial
 factor and e_k . dx = -(lam+k) e_(k-1) on the Kummer factor.  These are
 the unique signs under which the defining relation dx * x = x * dx + 1
 holds on the right, which check_module_axioms verifies.
+
+Each act composes its generator actions in closed form, x^a first and
+then d^b, with perm(m, k) = m!/(m-k)! (zero for k > m):
+
+  delta    e . x^a d^b = prod_i perm(e_i, a_i) * (e - a + b)
+  line     (i, j) . x^a d^b = (-1)^(b_x) perm(j, a_y) perm(i + a_x, b_x)
+           * (i + a_x - b_x, j - a_y + b_y)
+  Kummer   (k, j) . x^a d^b = perm(j, a_y) prod_(t < b_x) -(lam + k + a_x - t)
+           * (k + a_x - b_x, j - a_y + b_y)
+  free     x^p d^q . x^a d^b = sum_(k <= q, a) C(q, k) perm(a, k)
+           * x^(p + a - k) d^(q + b - k), products over the variables
+  D/fD     the remainder of one left division of label * mono by f
 """
 
 from __future__ import annotations
@@ -78,10 +93,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le, lt, sub
 
-from .grading import MonomialColumns, compositions, monomials_of_degree
+from .grading import MonomialColumns, compositions, monomials_of_degree, require_variables
 from .linalg import primitive
 from .parser import parse
-from .weyl import divide_left, graded_key, mul_terms, pseudo_divide_left
+from .weyl import _mono_mul, _unit, divide_left, graded_key, mul_terms, pseudo_divide_left
 
 __all__ = [
     "FreeWeylModule",
@@ -93,6 +108,7 @@ __all__ = [
     "act_word",
     "basis",
     "check_module_axioms",
+    "generator",
     "label_ints",
     "parse_model",
 ]
@@ -123,35 +139,41 @@ def _monomial_label(ints, n):
     return (tuple(ints[:n]), tuple(ints[n:])) if len(ints) == 2 * n and min(ints) >= 0 else None
 
 
-def act_combination(module, comb, gen):
-    """Extend the generator action linearly to a combination of labels."""
+def generator(kind, i, n):
+    """The unit monomial of x_i (kind "x") or d_i (kind "d") in n variables."""
+    unit, zero = _unit(i, n), (0,) * n
+    return (unit, zero) if kind == "x" else (zero, unit)
+
+
+def act_combination(module, comb, mono):
+    """Extend the action of one monomial linearly to a combination of labels."""
     acc = {}
     for label, c in comb.items():
-        _merge(acc, module.act(label, gen), c)
+        _merge(acc, module.act(label, mono), c)
     return acc
 
 
 def act_word(module, comb, elem):
     """Right action of a Weyl element: comb . elem.
 
-    Each normal-ordered monomial x^a d^b acts as the product of its
-    generators, x factors first; the results are summed with the
-    monomial coefficients.  An integral coefficient is stored as an
-    int, so integer combinations acted on by an element with integral
-    coefficients stay integers.
+    Each label of comb meets each normal-ordered term of elem once,
+    through the model's closed-form action of the term's monomial; the
+    results are summed with the products of the coefficients.  An
+    integral coefficient is stored as an int, so integer combinations
+    acted on by an element with integral coefficients stay integers.
     """
     if elem.n != module.n:
         raise ValueError("variable count mismatch")
-    acc = {}
-    for (xexp, dexp), c in elem.terms.items():
-        cur = dict(comb)
-        for i in range(module.n):
-            for _ in range(xexp[i]):
-                cur = act_combination(module, cur, ("x", i))
-        for i in range(module.n):
-            for _ in range(dexp[i]):
-                cur = act_combination(module, cur, ("d", i))
-        _merge(acc, cur, c)
+    acc, act, terms = {}, module.act, elem.terms.items()
+    for label, c in comb.items():
+        for mono, e in terms:
+            ce = c * e
+            for out, v in act(label, mono).items():
+                nv = acc.get(out, 0) + ce * v
+                if nv:
+                    acc[out] = nv
+                else:
+                    acc.pop(out, None)
     return acc
 
 
@@ -180,11 +202,12 @@ def check_module_axioms(module, deg_bound):
     """
     report = AxiomReport(deg_bound)
     gens = [("x", i) for i in range(module.n)] + [("d", i) for i in range(module.n)]
+    unit = {g: generator(*g, module.n) for g in gens}
     for label in basis(module, deg_bound):
         base = {label: 1}
         for gi, gj in itertools.combinations(gens, 2):
-            ab = act_combination(module, act_combination(module, base, gi), gj)
-            ba = act_combination(module, act_combination(module, base, gj), gi)
+            ab = act_combination(module, act_combination(module, base, unit[gi]), unit[gj])
+            ba = act_combination(module, act_combination(module, base, unit[gj]), unit[gi])
             expected = {}
             if gi[1] == gj[1] and gi[0] != gj[0]:
                 # (m.d_i).x_i = (m.x_i).d_i + m, so the commutator of the
@@ -195,7 +218,7 @@ def check_module_axioms(module, deg_bound):
             if diff:
                 report.violations.append(AxiomViolation(label, f"{gi}~{gj}", diff))
         for g in gens:
-            for out in module.act(label, g):
+            for out in module.act(label, unit[g]):
                 if module.degree(out) > module.degree(label) + 1:
                     report.violations.append(
                         AxiomViolation(label, f"degree jump under {g}", {out: 1})
@@ -211,9 +234,13 @@ class FreeWeylModule:
             raise ValueError("need at least one variable")
         self.n = n
         self.name = f"free:{n}"
-        self.columns = MonomialColumns(n)
         self.shift_x = 0
         self.shift = functools.partial(_times_x, 0)
+
+    @functools.cached_property
+    def columns(self):
+        # built on first use, after the engine has checked the variable count
+        return MonomialColumns(self.n)
 
     def labels(self, d):
         return list(monomials_of_degree(self.n, d))
@@ -228,22 +255,18 @@ class FreeWeylModule:
     def label(self, ints):
         return _monomial_label(ints, self.n)
 
-    def act(self, label, gen):
-        xexp, dexp = label
-        kind, i = gen
-        if kind == "d":
-            de = list(dexp)
-            de[i] += 1
-            return {(xexp, tuple(de)): 1}
-        # (x^a d^b) . x_i = x^(a+e_i) d^b + b_i x^a d^(b-e_i)
-        xe = list(xexp)
-        xe[i] += 1
-        out = {(tuple(xe), dexp): 1}
-        if dexp[i]:
-            de = list(dexp)
-            de[i] -= 1
-            out[(xexp, tuple(de))] = dexp[i]
-        return out
+    def act(self, label, mono):
+        # the Leibniz sum, built one variable at a time as (xexp, dexp,
+        # coefficient) triples
+        terms = [((), (), 1)]
+        for p, q, a, b in zip(*label, *mono):
+            x, d, top = p + a, q + b, min(q, a)
+            if top:
+                steps = [(k, math.comb(q, k) * math.perm(a, k)) for k in range(top + 1)]
+                terms = [(xe + (x - k,), de + (d - k,), c * s) for xe, de, c in terms for k, s in steps]
+            else:
+                terms = [(xe + (x,), de + (d,), c) for xe, de, c in terms]
+        return {(xe, de): c for xe, de, c in terms}
 
     def mf_level_bound(self, f, level):
         # Degree additivity in a domain: v*f nonzero has degree
@@ -269,16 +292,10 @@ class DeltaModule:
     def label(self, ints):
         return tuple(ints) if len(ints) == self.n and min(ints) >= 0 else None
 
-    def act(self, label, gen):
-        kind, i = gen
-        exp = list(label)
-        if kind == "d":
-            exp[i] += 1
-            return {tuple(exp): 1}
-        if exp[i] == 0:
-            return {}
-        exp[i] -= 1
-        return {tuple(exp): label[i]}
+    def act(self, label, mono):
+        a, b = mono
+        c = math.prod(map(math.perm, label, a))
+        return {tuple(map(add, map(sub, label, a), b)): c} if c else {}
 
     def mf_level_bound(self, f, level):
         return _homogeneous_mf_level_bound(f, level)
@@ -329,16 +346,13 @@ class LineICModule:
     def shift(self, label):
         return label[0] + 1, label[1]
 
-    def act(self, label, gen):
-        i, j = label
-        kind, k = gen
-        if kind == "x" and k == 0:
-            return {(i + 1, j): 1}
-        if kind == "x" and k == 1:
-            return {(i, j - 1): j} if j else {}
-        if kind == "d" and k == 0:
-            return {(i - 1, j): -i} if i else {}
-        return {(i, j + 1): 1}
+    def act(self, label, mono):
+        (i, j), ((ax, ay), (bx, by)) = label, mono
+        i += ax
+        c = math.perm(j, ay) * math.perm(i, bx)
+        if not c:
+            return {}
+        return {(i - bx, j - ay + by): -c if bx & 1 else c}
 
     def mf_level_bound(self, f, level):
         return _homogeneous_mf_level_bound(f, level)
@@ -359,6 +373,7 @@ class KummerICModule:
         if lines < 1:
             raise ValueError("need at least one line")
         self.lam = lam
+        self._p, self._q = lam.numerator, lam.denominator
         self.n = 2
         self.lines = lines
         self.name = f"kummer:{lines}:{lam}"
@@ -380,16 +395,19 @@ class KummerICModule:
     def shift(self, label):
         return label[0] + 1, label[1]
 
-    def act(self, label, gen):
-        k, j = label
-        kind, idx = gen
-        if kind == "x" and idx == 0:
-            return {(k + 1, j): 1}
-        if kind == "x" and idx == 1:
-            return {(k, j - 1): j} if j else {}
-        if kind == "d" and idx == 0:
-            return {(k - 1, j): -(self.lam + k)}
-        return {(k, j + 1): 1}
+    def act(self, label, mono):
+        (k, j), ((ax, ay), (bx, by)) = label, mono
+        c = math.perm(j, ay)
+        if not c:
+            return {}
+        k += ax
+        if bx:
+            # -(lam + m) = -(p + m*q)/q for lam = p/q
+            p, q = self._p, self._q
+            c = Fraction(c * math.prod(-(p + (k - t) * q) for t in range(bx)), q**bx)
+            if c.denominator == 1:
+                c = c.numerator
+        return {(k - bx, j - ay + by): c}
 
     def mf_level_bound(self, f, level):
         return _homogeneous_mf_level_bound(f, level)
@@ -441,6 +459,7 @@ class DXQuotientModule:
     def __init__(self, f):
         if f.is_zero:
             raise ValueError("f must be nonzero")
+        require_variables(f.n)
         self.f = f
         self.n = f.n
         self.name = f"dx:{f}"
@@ -519,13 +538,8 @@ class DXQuotientModule:
         ]
         return parts
 
-    def act(self, label, gen):
-        kind, i = gen
-        unit = tuple(int(j == i) for j in range(self.n))
-        zero = (0,) * self.n
-        factor = (unit, zero) if kind == "x" else (zero, unit)
-        product = mul_terms({label: 1}, {factor: 1})
-        return divide_left(self.f.terms, product)[1]
+    def act(self, label, mono):
+        return divide_left(self.f.terms, _mono_mul(label, mono))[1]
 
     def mf_level_bound(self, f, level):
         return None  # no a-priori bound for sums v*f + f*h in the quotient

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grading import compositions
+from .grading import compositions, require_variables
 
 __all__ = [
     "MAX_ORDER",
@@ -59,7 +59,8 @@ class DiagonalGroupAction:
 
     ``order`` is the common modulus N; each generator is an exponent
     vector in (Z/N)^n, acting on x_i by zeta_N^{v_i}.  N and the size of
-    the generated subgroup are at most MAX_ORDER.
+    the generated subgroup are at most MAX_ORDER, and n is at most
+    grading.MAX_VARIABLES.
     """
 
     order: int
@@ -73,6 +74,7 @@ class DiagonalGroupAction:
             raise ValueError(f"group order {self.order} is above MAX_ORDER = {MAX_ORDER}")
         if self.n < 1:
             raise ValueError("need at least one variable")
+        require_variables(self.n)
         gens = []
         for g in self.generators:
             g = tuple(int(e) % self.order for e in g)

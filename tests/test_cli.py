@@ -8,7 +8,7 @@ import time
 import pytest
 
 from dxext.cli import build_parser, main
-from dxext.grading import MAX_EXPONENT
+from dxext.grading import MAX_EXPONENT, MAX_VARIABLES
 from dxext.parser import BUDGET, parse
 from dxext.quotients import MAX_ORDER
 from dxext.verify import CheckResult
@@ -341,6 +341,36 @@ def test_closed_form_power_still_parses(capsys):
                        "--format", "json")
     assert code == 0
     assert result_of(out)["beta"] == "x^99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext-self", "--f", "x1 + x2000", "--max-deg", "1"),
+    ("ext-self", "--f", "x1 + x20000", "--max-deg", "1"),
+    ("ext-module", "--model", "free:2000", "--f", "x1 + x2000", "--max-deg", "1"),
+    ("ext-module", "--model", "free:20000", "--f", "x1 + x20000", "--max-deg", "1"),
+    ("ext-module", "--model", "delta:2000", "--f", "x1 + x2000", "--max-deg", "1"),
+    ("act", "--f", "x1 + x2000", "--alpha", "1", "--element", "x1"),
+], ids=["self", "self-20000", "free", "free-20000", "delta", "act"])
+def test_variables_above_the_cap_fail_cleanly(capsys, argv):
+    # the parser takes thousands of variables, but no model or engine
+    # work starts in more than MAX_VARIABLES: one error line, at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    n = argv[argv.index("--f") + 1].split("x")[-1]
+    assert f"error: {n} variables is above MAX_VARIABLES = {MAX_VARIABLES}" in err
+    assert "Traceback" not in err
+
+
+def test_group_in_too_many_coordinates_is_usage_error(capsys):
+    group = "cyclic:2:" + ",".join(["1"] * 2000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quotient-cech", "--group", group, "--character", "chi:1",
+                         "--max-deg", "2")
+    assert time.perf_counter() - start < 1
+    assert_usage_error(code, out, err)
+    assert f"2000 variables is above MAX_VARIABLES = {MAX_VARIABLES}" in err
 
 
 @pytest.mark.parametrize("group", [

@@ -19,7 +19,9 @@ from dxext.models import (
     act_word,
     basis,
     check_module_axioms,
+    generator,
     label_ints,
+    parse_model,
 )
 from dxext.parser import parse
 from dxext.weyl import WeylElement, divide_left, graded_key, mul_terms, pseudo_divide_left
@@ -137,9 +139,42 @@ def test_action_stays_in_basis(module):
     labels = set(basis(module, 8))
     for label in basis(module, 4):
         for gen in [("x", i) for i in range(module.n)] + [("d", i) for i in range(module.n)]:
-            for out, c in module.act(label, gen).items():
+            for out, c in module.act(label, generator(*gen, module.n)).items():
                 assert out in labels
                 assert c != 0
+
+
+CLOSED_FORM_MODELS = [
+    "free:1", "free:2", "delta:1", "delta:2", "nlines-ic:2", "kummer:2:1/2", "kummer:3:-5/3",
+    "dx:y^2 - x^3", "dx:x + dx",
+]
+
+
+def _letters_oracle(module, label, mono):
+    """label . mono by the unit-monomial actions, one letter at a time,
+    x letters first, with integral coefficients read back as ints."""
+    n, cur = module.n, {label: 1}
+    for kind, exps in zip("xd", mono):
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                cur = act_combination(module, cur, generator(kind, i, n))
+    return {out: c.numerator if c.denominator == 1 else c for out, c in cur.items()}
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_MODELS)
+def test_closed_form_action_matches_the_letters(spec):
+    # every label through degree 5 against every monomial through degree 4:
+    # the same combination as the generators acting one by one, with the
+    # same coefficient types (int where integral, Fraction elsewhere)
+    from dxext.grading import monomials_of_degree
+
+    module = parse_model(spec)
+    monos = [m for d in range(5) for m in monomials_of_degree(module.n, d)]
+    for label in basis(module, 5):
+        for mono in monos:
+            got, want = module.act(label, mono), _letters_oracle(module, label, mono)
+            assert got == want, (label, mono)
+            assert [type(got[out]) for out in want] == [type(c) for c in want.values()], (label, mono)
 
 
 def test_act_word_composes():
@@ -166,9 +201,9 @@ def test_free_module_matches_weyl_product():
 def test_delta_module_values():
     # x_i lowers the d-exponent with its multiplicity; x kills delta.
     m = DeltaModule(2)
-    assert m.act((0, 0), ("x", 0)) == {}
-    assert m.act((2, 1), ("x", 0)) == {(1, 1): Fraction(2)}
-    assert m.act((2, 1), ("d", 1)) == {(2, 2): Fraction(1)}
+    assert m.act((0, 0), generator("x", 0, 2)) == {}
+    assert m.act((2, 1), generator("x", 0, 2)) == {(1, 1): Fraction(2)}
+    assert m.act((2, 1), generator("d", 1, 2)) == {(2, 2): Fraction(1)}
     # Right action of x dx on the k-th derivative layer has eigenvalue k.
     e = parse("x dx", 2)
     assert act_word(m, {(3, 0): Fraction(1)}, e) == {(3, 0): Fraction(3)}
@@ -182,7 +217,7 @@ def test_line_ic_module_values():
     basis2 = basis(m, 2)
     assert len(basis2) >= 3
     for label in basis2:
-        for out in m.act(label, ("x", 0)):
+        for out in m.act(label, generator("x", 0, 2)):
             assert m.degree(out) <= m.degree(label) + 1
 
 
@@ -273,7 +308,7 @@ def test_dx_quotient_matches_echelon_oracle(text):
         for gen, elem in zip([("x", 0), ("x", 1), ("d", 0), ("d", 1)], gens):
             prod = WeylElement.monomial(2, *label) * elem
             vec = ech.reduce_fractions({column[k]: v for k, v in prod.terms.items()})
-            assert module.act(label, gen) == {monos[i]: v for i, v in vec.items()}
+            assert module.act(label, generator(*gen, 2)) == {monos[i]: v for i, v in vec.items()}
 
 
 ROW_ORACLE_CASES = [
@@ -487,7 +522,7 @@ def test_actions_are_integers_where_integral(module):
     gens = [("x", i) for i in range(module.n)] + [("d", i) for i in range(module.n)]
     for label in basis(module, 4):
         for gen in gens:
-            for c in module.act(label, gen).values():
+            for c in module.act(label, generator(*gen, module.n)).values():
                 assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (label, gen)
         row = act_word(module, {label: 1}, CUSP)
         assert all(type(c) is int for c in row.values())
@@ -534,8 +569,9 @@ def test_shift_contract(module):
             assert module.degree(shifted) <= d + 1
             assert shifted in module.labels(module.degree(shifted))
             for i in range(module.n):
-                moved = {module.shift(lab): c for lab, c in module.act(label, ("x", i)).items()}
-                assert module.act(shifted, ("x", i)) == moved
+                x_i = generator("x", i, module.n)
+                moved = {module.shift(lab): c for lab, c in module.act(label, x_i).items()}
+                assert module.act(shifted, x_i) == moved
 
 
 @pytest.mark.parametrize("module", SHIFT_MODELS, ids=lambda m: m.name)
@@ -622,7 +658,7 @@ def test_pseudo_divide_left_scales_when_lc_does_not_divide():
 def test_act_combination_linear():
     module = DeltaModule(2)
     comb = {(1, 0): Fraction(2), (0, 1): Fraction(-1)}
-    out = act_combination(module, comb, ("d", 0))
+    out = act_combination(module, comb, generator("d", 0, 2))
     assert out == {(2, 0): Fraction(2), (1, 1): Fraction(-1)}
 
 
@@ -637,12 +673,10 @@ def test_axiom_report_catches_broken_module():
         def degree(self, label):
             return label
 
-        def act(self, label, gen):
-            kind, i = gen
-            if kind == "d":
-                return {label + 1: Fraction(1)}
+        def act(self, label, mono):
+            (a,), (b,) = mono
             # Wrong Weyl relation on purpose: x acts as zero.
-            return {}
+            return {} if a else {label + b: Fraction(1)}
 
     report = check_module_axioms(Broken(), 3)
     assert not report.ok
