@@ -2,9 +2,14 @@
 
 A RewriteSystem holds rules that send a normal-ordered monomial to an
 equivalent lower element (graded lex order, x before y before dx before
-dy).  add_rule rejects a rule that fails to decrease some monomial up
-to a probe degree; confluence_check repeats that check through its
-own degree, so reduction terminates wherever it certifies.  It
+dy).  add_rule rewrites every monomial through PROBE_DEGREE that the
+new rule applies to, rejects the rule if some output fails to
+decrease, and otherwise keeps each (rule, reduct) pair in the system's
+table.  Through PROBE_DEGREE, normal forms, confluence_check and
+irreducible_dims read that table and call no rule; above it they call
+the rules, and every rewrite there is checked to decrease, so every
+reduction ends.  Normal forms walk the rewrites with an explicit stack,
+and normal_form refuses an element above MAX_NF_DEGREE.  confluence_check
 certifies unique normal forms by Bergman's fork check: visiting the
 monomials in increasing order, it compares the normal forms of the
 one-step reducts wherever two rules apply.
@@ -21,7 +26,7 @@ from fractions import Fraction
 
 from .grading import monomials_of_degree
 from .tables import EXACT_GRADED, STABILIZED, TruncationLevel, TruncationTable
-from .weyl import WeylElement, graded_key
+from .weyl import WeylElement, graded_key, monomial_degree
 
 __all__ = [
     "RewriteRule",
@@ -47,72 +52,133 @@ class RewriteRule:
     rewrite: object  # callable(mono) -> WeylElement
 
 
-# add_rule checks a new rule's decrease on every monomial through this degree
+# add_rule checks a new rule's decrease on every monomial through this
+# degree, and the system keeps the reducts that check verified
 PROBE_DEGREE = 8
+
+# normal_form refuses an element above this Bernstein degree before it
+# rewrites anything.  On the node the longest walk from one monomial is
+# x^k dx^k's: 0.10 s at degree 4,096, 0.25 s at 8,192 and 2.0 s at
+# 32,768 (2-core VM, Python 3.11), and past about degree 3,300 its
+# coefficient is too long for str() to print
+MAX_NF_DEGREE = 4096
 
 
 class RewriteSystem:
+    """Rules in the order added, and a table of verified reducts: for
+    each monomial through PROBE_DEGREE that some rule applies to, its
+    (rule, rule.rewrite(mono)) pairs in rule order.  Rules enter only
+    through add_rule, so the table covers every rule."""
+
     def __init__(self, n, associated_poly=None):
         self.n = n
-        self.rules = []
         self.associated_poly = associated_poly
+        self._rules = ()
+        self._probe = [tuple(monomials_of_degree(n, d)) for d in range(PROBE_DEGREE + 1)]
+        self._table = {}
         self._nf_cache = {}
+
+    @property
+    def rules(self):
+        return self._rules
 
     def add_rule(self, rule):
         """Register a rule after checking it is order-decreasing on all
-        monomials up to PROBE_DEGREE."""
-        for d in range(PROBE_DEGREE + 1):
-            for mono in monomials_of_degree(self.n, d):
-                if rule.applies(mono):
-                    _decreasing_rewrite(rule, mono)
-        self.rules.append(rule)
+        monomials up to PROBE_DEGREE, keeping the reducts it checked.  A
+        rule that fails leaves the system unchanged."""
+        verified = [
+            (mono, _decreasing_rewrite(rule, mono))
+            for level in self._probe
+            for mono in level
+            if rule.applies(mono)
+        ]
+        for mono, out in verified:
+            self._table[mono] = self._table.get(mono, ()) + ((rule, out),)
+        self._rules += (rule,)
         self._nf_cache.clear()
 
+    def _monomials(self, d):
+        """The monomials of degree d, in increasing graded order."""
+        return self._probe[d] if d <= PROBE_DEGREE else monomials_of_degree(self.n, d)
+
+    def _verified(self, mono):
+        """The table's (rule, reduct) pairs of mono: () when mono is
+        irreducible through PROBE_DEGREE, None above PROBE_DEGREE."""
+        pairs = self._table.get(mono)
+        if pairs is None and monomial_degree(mono) <= PROBE_DEGREE:
+            return ()
+        return pairs
+
+    def reducts(self, mono):
+        """The one-step reducts of mono, one per applicable rule, in rule order."""
+        pairs = self._verified(mono)
+        if pairs is None:
+            return [_decreasing_rewrite(rule, mono) for rule in self._rules if rule.applies(mono)]
+        return [out for _, out in pairs]
+
     def first_applicable(self, mono):
-        for rule in self.rules:
-            if rule.applies(mono):
-                return rule
-        return None
+        pairs = self._verified(mono)
+        if pairs is None:
+            return next((rule for rule in self._rules if rule.applies(mono)), None)
+        return pairs[0][0] if pairs else None
 
     def is_irreducible(self, mono):
         return self.first_applicable(mono) is None
 
-    def _mono_normal_form(self, mono):
-        """Normal form of a single monomial under first-rule strategy."""
-        cached = self._nf_cache.get(mono)
-        if cached is not None:
-            return cached
+    def _first_reduct(self, mono):
+        """Terms of the first rule's reduct of mono, or None if irreducible."""
         rule = self.first_applicable(mono)
         if rule is None:
-            result = {mono: Fraction(1)}
-        else:
+            return None
+        pairs = self._table.get(mono)
+        return (pairs[0][1] if pairs else _decreasing_rewrite(rule, mono)).terms
+
+    def _mono_normal_form(self, mono):
+        """Normal form of a single monomial under first-rule strategy.
+
+        The rewrites are walked with an explicit stack, not one Python
+        frame per step, and every normal form found is memoized.  Each
+        rewrite decreases, so the walk ends.
+        """
+        memo = self._nf_cache
+        stack = [mono]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            reduct = self._first_reduct(top)
+            if reduct is None:
+                memo[top] = {top: Fraction(1)}
+                continue
+            missing = [m for m in reduct if m not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
             result = {}
-            for omono, oc in rule.rewrite(mono).terms.items():
-                for rmono, rc in self._mono_normal_form(omono).items():
-                    nc = result.get(rmono, Fraction(0)) + oc * rc
-                    if nc:
-                        result[rmono] = nc
-                    else:
-                        result.pop(rmono, None)
-        self._nf_cache[mono] = result
-        return result
+            for omono, oc in reduct.items():
+                _add_scaled(result, memo[omono], oc)
+            memo[top] = result
+        return memo[mono]
 
     def _terms_normal_form(self, terms):
         """First-rule normal form of a term dict, as a term dict."""
         acc = {}
         for mono, c in terms.items():
-            for rmono, rc in self._mono_normal_form(mono).items():
-                nc = acc.get(rmono, Fraction(0)) + c * rc
-                if nc:
-                    acc[rmono] = nc
-                else:
-                    acc.pop(rmono, None)
+            _add_scaled(acc, self._mono_normal_form(mono), c)
         return acc
 
     def normal_form(self, elem):
-        """Fully reduced form of an element; deterministic and idempotent."""
+        """Fully reduced form of an element; deterministic and idempotent.
+
+        An element above MAX_NF_DEGREE raises ValueError before any
+        rewriting.
+        """
         if elem.n != self.n:
             raise ValueError("variable count mismatch")
+        degree = elem.degree() or 0
+        if degree > MAX_NF_DEGREE:
+            raise ValueError(f"degree {degree} is above MAX_NF_DEGREE = {MAX_NF_DEGREE}")
         return WeylElement(self.n, self._terms_normal_form(elem.terms))
 
     def irreducible_projection(self, elem):
@@ -128,6 +194,16 @@ class RewriteSystem:
             raise ValueError("variable count mismatch")
         kept = {m: c for m, c in elem.terms.items() if self.is_irreducible(m)}
         return WeylElement(self.n, kept)
+
+
+def _add_scaled(acc, terms, c):
+    """acc += c * terms, on term dicts, dropping zero coefficients."""
+    for mono, tc in terms.items():
+        nc = acc.get(mono, 0) + c * tc
+        if nc:
+            acc[mono] = nc
+        else:
+            acc.pop(mono, None)
 
 
 def _decreasing_rewrite(rule, mono):
@@ -168,19 +244,20 @@ def confluence_check(system, max_deg):
 
     Records (mono, sorted forms) for each monomial whose reducts
     disagree.  Only such forks are listed: a monomial whose reducts
-    agree but reach a smaller fork is not.  Every rule output is checked
-    to decrease through max_deg, beyond the PROBE_DEGREE of add_rule;
-    a rule that does not raises ValueError.
+    agree but reach a smaller fork is not.  The reducts through
+    PROBE_DEGREE are the ones add_rule verified; above it every rule
+    output is checked to decrease through max_deg, and a rule that does
+    not raises ValueError.  A negative max_deg raises ValueError.
     """
+    if max_deg < 0:
+        raise ValueError("max_deg must be >= 0")
     report = ConfluenceReport(max_deg)
     for d in range(max_deg + 1):
-        # monomials_of_degree ascends in graded_key within a degree, so
-        # every monomial a reduct contains was checked before: the
-        # induction above depends on this order.
-        for mono in monomials_of_degree(system.n, d):
-            reducts = [
-                _decreasing_rewrite(rule, mono) for rule in system.rules if rule.applies(mono)
-            ]
+        # the monomials of a degree ascend in graded_key, so every
+        # monomial a reduct contains was checked before: the induction
+        # above depends on this order.
+        for mono in system._monomials(d):
+            reducts = system.reducts(mono)
             if len(reducts) < 2:
                 continue
             forms = {
@@ -198,16 +275,15 @@ def irreducible_dims(system, max_deg):
     confluent system these are exact quotient dimensions (exact-graded);
     without confluence the counts are only upper bounds for the
     quotient, since normal forms still span it.  A rule that fails to
-    decrease some monomial through max_deg raises ValueError.
+    decrease some monomial through max_deg, or a negative max_deg,
+    raises ValueError.
     """
     certified = confluence_check(system, max_deg).confluent
     status = EXACT_GRADED if certified else STABILIZED
     levels = []
     running = 0
     for d in range(max_deg + 1):
-        for mono in monomials_of_degree(system.n, d):
-            if system.is_irreducible(mono):
-                running += 1
+        running += sum(1 for mono in system._monomials(d) if system.is_irreducible(mono))
         levels.append(TruncationLevel(d, running, status))
     f_text = str(system.associated_poly) if system.associated_poly is not None else ""
     table = TruncationTable(f_text, "irreducible-monomials", levels)

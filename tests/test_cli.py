@@ -11,6 +11,7 @@ from dxext.cli import build_parser, main
 from dxext.grading import MAX_EXPONENT, MAX_VARIABLES
 from dxext.parser import BUDGET, parse
 from dxext.quotients import MAX_ORDER
+from dxext.rewrite import MAX_NF_DEGREE
 from dxext.verify import CheckResult
 
 
@@ -170,6 +171,23 @@ def test_rewrite_normal_form(capsys):
     data = result_of(out)
     assert data["normalForm"] == "-2*y*dx*dy - 2*dx"
     assert data["inputIrreducible"] is False
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("rewrite", "--preset", "node-xy", "--element", "x^1500 dx^1500"), 0),
+    (("act", "--f", "x*y", "--alpha", "x*dx", "--element", "y^3000 dy^3000"), 1),
+], ids=["rewrite", "act"])
+def test_high_degree_node_normal_form_ends_cleanly(capsys, argv, code):
+    # one rewrite step is one stack entry, not one Python frame; an
+    # element above MAX_NF_DEGREE (here of degree 6,002) is refused at once
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert got == code and "Traceback" not in err
+    if code:
+        assert f"above MAX_NF_DEGREE = {MAX_NF_DEGREE}" in err and not out
+    else:
+        assert "normal form: " in out
 
 
 def test_rewrite_unknown_preset(capsys):

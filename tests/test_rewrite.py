@@ -6,6 +6,7 @@ widening engine recognizes independently of the rewrite machinery.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,6 +15,7 @@ from dxext.grading import monomials_of_degree
 from dxext.models import DXQuotientModule
 from dxext.parser import parse
 from dxext.rewrite import (
+    MAX_NF_DEGREE,
     PRESETS,
     PROBE_DEGREE,
     RewriteRule,
@@ -262,3 +264,86 @@ def test_rule_decrease_checked_past_probe_degree(max_deg):
         confluence_check(system, max_deg)
     with pytest.raises(ValueError, match="does not decrease"):
         irreducible_dims(system, max_deg)
+
+
+def first_rule_walk(system, mono, memo):
+    """(reducts, first rule, normal form) of mono from the rules'
+    predicates and rewrites alone, with no table: the first-rule
+    normal form is the first reduct's, term by term."""
+    if mono not in memo:
+        rules = [rule for rule in system.rules if rule.applies(mono)]
+        reducts = [rule.rewrite(mono) for rule in rules]
+        if rules:
+            nf = WeylElement.zero(system.n)
+            for omono, c in reducts[0].terms.items():
+                nf = nf + c * first_rule_walk(system, omono, memo)[2]
+        else:
+            nf = WeylElement.monomial(system.n, *mono)
+        memo[mono] = (reducts, rules[0] if rules else None, nf)
+    return memo[mono]
+
+
+@pytest.mark.parametrize("make", [node_system, two_value_system, shift_system])
+def test_table_matches_a_table_free_walk(make):
+    # Through PROBE_DEGREE the system reads the reducts add_rule kept;
+    # two degrees past it, it calls the rules.  Both agree with the walk.
+    system = make()
+    memo = {}
+    for d in range(PROBE_DEGREE + 3):
+        for mono in monomials_of_degree(system.n, d):
+            reducts, first, nf = first_rule_walk(system, mono, memo)
+            assert system.reducts(mono) == reducts, mono
+            assert system.first_applicable(mono) is first, mono
+            assert system.is_irreducible(mono) == (first is None), mono
+            assert system.normal_form(WeylElement.monomial(system.n, *mono)) == nf, mono
+
+
+def test_rejected_rule_leaves_the_system_unchanged():
+    # dx^a -> 0 decreases for a < 5, so add_rule gets through degree 4
+    # before dx^5 -> dx^6 fails; dx^0..dx^4 must stay irreducible.
+    system = node_system()
+    rules = system.rules
+    monos = [m for d in range(11) for m in monomials_of_degree(2, d)]
+    forms = [system.normal_form(WeylElement.monomial(2, *m)) for m in monos]
+    violations = confluence_check(system, 10).violations
+    bad = RewriteRule(
+        name="dx-dies-below-five",
+        applies=lambda m: m[0] == (0, 0) and m[1][1] == 0,
+        rewrite=lambda m: (
+            WeylElement.zero(2) if m[1][0] < 5 else WeylElement.monomial(2, (0, 0), (m[1][0] + 1, 0))
+        ),
+    )
+    with pytest.raises(ValueError, match="does not decrease"):
+        system.add_rule(bad)
+    assert system.rules == rules and len(rules) == 5
+    assert [system.normal_form(WeylElement.monomial(2, *m)) for m in monos] == forms
+    assert confluence_check(system, 10).violations == violations == []
+    assert all(system.is_irreducible(((0, 0), (a, 0))) for a in range(11))
+
+
+def test_rules_enter_only_through_add_rule(node):
+    assert isinstance(node.rules, tuple)
+    with pytest.raises(AttributeError):
+        node.rules = []
+
+
+@pytest.mark.parametrize("max_deg", [-1, -2])
+@pytest.mark.parametrize("check", [confluence_check, irreducible_dims])
+def test_negative_degree_rejected(node, check, max_deg):
+    with pytest.raises(ValueError, match="max_deg"):
+        check(node, max_deg)
+
+
+def test_normal_form_of_high_degree_monomial():
+    # x^k dx^k descends by x-dx-descends alone: (-1)^k k! (1 + y dy).
+    # The walk takes one stack entry per step, not one Python frame.
+    k = MAX_NF_DEGREE // 2
+    got = node_system().normal_form(WeylElement.monomial(2, (k, 0), (k, 0)))
+    coeff = (-1) ** k * factorial(k)
+    assert got == WeylElement.monomial(2, (0, 0), (0, 0), coeff) + WeylElement.monomial(2, (0, 1), (0, 1), coeff)
+
+
+def test_normal_form_refuses_degree_above_bound(node):
+    elem = WeylElement.monomial(2, (0, 0), (0, 0)) + WeylElement.monomial(2, (0, 1), (0, MAX_NF_DEGREE))
+    with pytest.raises(ValueError, match=f"degree {MAX_NF_DEGREE + 1} is above MAX_NF_DEGREE"):
+        node.normal_form(elem)
