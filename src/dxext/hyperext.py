@@ -40,11 +40,11 @@ a sum over f's partial derivatives d^k f: a row needs no Weyl product
 and no other row, and the module keeps each NF(x^a * d^k f).  When the
 divisor has a d part, every label takes the full product g*f.
 
-When the model has a shift, the engine also shifts its echelon rows.
-A shift s is the label map of a one-to-one linear map of the module
-that takes each label to one label, raises the degree by at most one
-and commutes with right multiplication by f, so s(v*f) = s(v)*f: s
-maps rows to rows, and s(S_(w-1)) lies in S_w.
+When the model has an x-shift s (shift_x), the engine also shifts its
+echelon rows.  s is a one-to-one linear map of the module that adds
+one constant, the step, to every packed column, so it raises the
+degree by one, and it commutes with right multiplication by f, so
+s(v*f) = s(v)*f: s maps rows to rows, and s(S_(w-1)) lies in S_w.
 With S_w the span after label degree w, and L_w the degree-w labels
 that are not s of a degree w-1 label,
 
@@ -52,10 +52,8 @@ that are not s of a degree w-1 label,
 
 and since s(S_(w-2)) lies in S_(w-1), s(S_(w-1)) is spanned modulo
 S_(w-1) by s(r) for the echelon rows r stored during degree w-1.  Each
-s(r) is a re-indexing of r's columns, so it is a primitive integer row
-with r's pivot coefficient.  On numbered columns each s(r) is reduced
-as it is added.  On packed columns (below) s adds one constant, the
-step, to every column, so s(r) pivots at r's pivot plus the step, and
+s(r) is r with the step added to every column, a primitive integer row
+with r's pivot coefficient that pivots at r's pivot plus the step, and
 where no row pivots there yet s(r) is exactly the row the echelon would
 store for it.  So the echelon keeps r as the base of a chain r, s(r),
 s(s(r)), ... that grows by one member per degree and is never built: a
@@ -72,22 +70,16 @@ x_i, s is left multiplication by x_i: it maps standard monomials to
 standard monomials, so x_i*NF(h) = NF(x_i*h) with no division at all,
 and L_w holds the degree-w labels without x_i, which the model lists
 directly.  On the free module s is left multiplication by x (L_w: the
-monomials without x).  On the line models s is the right action of x:
-(i, j) -> (i+1, j), one label per degree in L_w, and on the Kummer
-model (k, j) -> (k+1, j), which lowers the degree for k < 0; those
-labels are not images of a lower degree, so L_w holds every label with
-k <= 0, and the rows stored for the labels with k < 0 are not shifted
-(see CokernelEngine).
+monomials without x), and on the line model the right action of x,
+(i, j) -> (i+1, j) (L_w: the one label (0, w)).  The Kummer and delta
+models have no x-shift, and every label gets a row.
 
-Labels that are Weyl monomials (D/fD and the free module) need no
-label table: MonomialIndex packs each label's exponents into one int
-column, the degree in the top bits, so columns keep the label order
-and a pivot's degree is a shift.  Packing is linear, so left
-multiplication by x_i adds one constant to every column and raises its
-degree by one: it keeps the order of all columns, and a chain member's
-pivot is its base's plus that constant.  D/fD's row kernel builds its
-rows on these columns.  The line, Kummer and delta models keep
-ModuleIndex's numbered columns and its column map of the shift.
+Labels that pack as Weyl monomials (D/fD, the free module, and the line
+model's (i, j) as x^i d^j) need no label table: MonomialIndex packs
+each label's exponents into one int column, the degree in the top
+bits, so columns keep the label order and a pivot's degree is a shift.
+D/fD's row kernel builds its rows on these columns.  The Kummer and
+delta models keep ModuleIndex's numbered columns.
 
 Rows without a row kernel come from act_word on the primitive integer
 form of f: one closed-form model action per term of f on the label
@@ -154,34 +146,34 @@ def _require_degree(d):
 
 
 def _require_packable(d):
+    # the largest degree a packed column holds, and so every index's limit
     _require_degree(d)
     if d > MAX_EXPONENT:
-        raise ValueError(f"degree {d} above {MAX_EXPONENT}, the largest that packed columns hold")
+        raise ValueError(f"degree {d} above {MAX_EXPONENT}, the largest the engine indexes")
 
 
 class ModuleIndex:
     """Stable degree-major numbering of a module's basis labels, for the
-    models whose labels are not Weyl monomials (the line, Kummer and
-    delta models; the others get MonomialIndex).
+    models without packed columns (the Kummer and delta models; the
+    others get MonomialIndex).
 
     extend_to(d) lists module.labels(e) once for each degree e it has
     not reached yet and numbers those labels after the ones it holds, so
     a label's position never changes.  _through[e] is the label count
     through degree e: the degree-m prefix has _through[m] labels, and
     the labels of degree e are _labels[_through[e - 1]:_through[e]].
-
-    For a module with a shift it also keeps the column map of the
-    shift, extended on demand label by label.  That map need not keep
-    the order of columns (Kummer's falls at column 1), so the engine
-    adds every shifted row through the echelon's add.
+    A degree above MAX_EXPONENT is refused as on packed columns, so
+    every model has the same largest level.  There is no x-shift (step),
+    so every label gets a row of its own (new_labels).
     """
+
+    step = None
 
     def __init__(self, module):
         self.module = module
         self._labels = []
         self._pos = {}
         self._through = []  # label count through each degree
-        self._shift = []  # column of module.shift(label) for each column
 
     def extend_to(self, degree):
         labels = self._labels
@@ -192,14 +184,18 @@ class ModuleIndex:
             self._through.append(len(labels))
 
     def prefix_size(self, m):
-        _require_degree(m)
+        _require_packable(m)
         self.extend_to(m)
         return self._through[m]
 
     def labels_of_degree(self, d):
-        _require_degree(d)
+        _require_packable(d)
         self.extend_to(d)
         return self._labels[self._through[d - 1] if d else 0 : self._through[d]]
+
+    def new_labels(self, d):
+        """The labels of degree d that get rows of their own: all of them."""
+        return self.labels_of_degree(d)
 
     def vector(self, comb):
         pos = self._pos
@@ -216,26 +212,9 @@ class ModuleIndex:
         """The label degree of a numbered column."""
         return bisect_right(self._through, column)
 
-    def shifted(self, vec):
-        """vec with every label replaced by module.shift(label)."""
-        cols, start, top = self._shift, len(self._shift), max(vec)
-        if start <= top:
-            module, labels, pos = self.module, self._labels, self._pos
-            self.extend_to(module.degree(labels[top]) + 1)  # a shift raises the degree by <= 1
-            cols += [pos[module.shift(lab)] for lab in labels[start : top + 1]]
-        return {cols[c]: v for c, v in vec.items()}
-
-    def unshifted_labels(self, d):
-        """The labels of degree d that are not module.shift(v) for a label
-        v of degree d - 1."""
-        labels = self.labels_of_degree(d)
-        lower, first = (self._through[d - 2] if d > 1 else 0), (self._through[d - 1] if d else 0)
-        image = self.shifted(dict.fromkeys(range(lower, first))) if lower < first else {}
-        return [lab for k, lab in enumerate(labels, first) if k not in image]
-
 
 class MonomialIndex:
-    """Packed columns for a model whose labels are Weyl monomials.
+    """Packed columns for a model whose labels pack as Weyl monomials.
 
     A label's column is its exponents packed into one int by the
     model's grading.MonomialColumns, in the order in which ModuleIndex
@@ -243,11 +222,12 @@ class MonomialIndex:
     column.  The index stores no label: vector and combination pack and
     unpack, degree_of is a shift, and prefix sizes are counted only
     through the degrees asked for.  A degree whose labels do not fit the
-    columns raises ValueError.  A shift by x_i (shift_x) adds step =
+    columns raises ValueError.  The x-shift (shift_x) adds step =
     columns.weights[i] to every column and raises its degree by one, so
     it keeps the order of all columns: every shifted row pivots at its
     source's pivot plus step, and the engine's echelon keeps the shifts
-    as chains.  step is None for a module without that shift.
+    as chains; new_labels lists only the labels outside its image.
+    step is None for a module without that shift.
     """
 
     def __init__(self, module):
@@ -258,6 +238,7 @@ class MonomialIndex:
         self.degree_of = self.columns.degree_bits.__rrshift__
         x = getattr(module, "shift_x", None)
         self.step = None if x is None else self.columns.weights[x]
+        self._new_labels = module.labels if x is None else module.unshifted_labels
 
     def prefix_size(self, m):
         _require_packable(m)
@@ -270,10 +251,11 @@ class MonomialIndex:
         _require_packable(d)
         return self.module.labels(d)
 
-    def unshifted_labels(self, d):
-        """The labels of degree d without the shift's x_i."""
+    def new_labels(self, d):
+        """The labels of degree d that get rows of their own: those outside
+        the image of the x-shift, or all of them without one."""
         _require_packable(d)
-        return self.module.unshifted_labels(d)
+        return self._new_labels(d)
 
     def vector(self, comb):
         column = self.columns.column
@@ -297,23 +279,16 @@ class CokernelEngine:
     those of degree d, from every pivot add returns and every member of
     a chain, at every widening stage, from one shared elimination.
 
-    When the module has a shift s (one-to-one on labels, raising the
-    degree by at most one; D/fD, the free module and the line and
-    Kummer models have one), a degree w first inserts s(r) for every
-    echelon row r stored during degree w-1, then the rows of the
-    degree-w labels that are not s(v) for a label v of degree w-1; the
-    rows of the labels s(v) are spanned by the shifted rows (see the
-    module docstring).  A row r stored for such a label v whose image
-    s(v) has degree below w (Kummer's k < 0) is not shifted: s(r) is
-    row(s(v)), already in the span through degree w-1, minus shifts of
-    rows inserted before it, so it would reduce to zero.  On numbered
-    columns stored holds the rows to shift at the next degree, and each
-    s(r) goes through add.  On packed columns s is an x_i shift, which
-    adds the index's step to every column, so the echelon keeps every
-    stored row as the base of a chain (linalg.SparseEchelon): extend
-    grows each chain by one member that nothing builds, reduces and
-    stores the members that meet a stored row, and counts the members
-    per degree; stored is then None.
+    When the model has an x-shift (D/fD of a polynomial whose lm misses
+    an x_i, the free module and the line model), which adds the index's
+    step to every column, the echelon keeps every stored row as the base
+    of a chain (linalg.SparseEchelon).  A degree w first extends the
+    chains: each grows by one member that nothing builds, the members
+    that meet a stored row are reduced and stored, and the members are
+    counted per degree.  Then it adds the rows of the index's new_labels,
+    the degree-w labels outside the shift's image, whose rows the chains
+    do not span (see the module docstring).  Without a step, extend adds
+    nothing and every label gets a row.
     """
 
     def __init__(self, module, f):
@@ -329,31 +304,20 @@ class CokernelEngine:
             self.row = lambda lab: vector(act_word(module, {lab: 1}, ints))
         else:
             self.row = lambda lab: row(lab, f)
-        self.shifts = hasattr(module, "shift")
-        step = getattr(self.index, "step", None)
-        self.echelon = SparseEchelon(step, self.index.degree_of)
-        # the rows stored during the last label degree, or None when chains shift them
-        self.stored = [] if step is None else None
+        self.echelon = SparseEchelon(self.index.step, self.index.degree_of)
         self.counts = Counter()  # {label degree: number of pivot columns of that degree}
         self.width = -1
 
     def widen_to(self, width):
-        echelon, index, module = self.echelon, self.index, self.index.module
+        echelon, index = self.echelon, self.index
         while self.width < width:
             self.width += 1
-            if self.stored is None:  # the echelon's chains shift every stored row
-                members, pivots = echelon.extend()
-                self.counts.update(members)
-            else:
-                self.stored = [row for row in (echelon.add(index.shifted(r)) for r in self.stored) if row]
-                pivots = list(map(max, self.stored))
-            keep = self.shifts and self.stored is not None
-            for lab in index.unshifted_labels(self.width) if self.shifts else index.labels_of_degree(self.width):
+            members, pivots = echelon.extend()
+            self.counts.update(members)
+            for lab in index.new_labels(self.width):
                 row = echelon.add(self.row(lab))
                 if row is not None:
                     pivots.append(max(row))
-                    if keep and module.degree(module.shift(lab)) > self.width:
-                        self.stored.append(row)
             self.counts.update(map(index.degree_of, pivots))
 
     def level_dims(self, max_deg):

@@ -23,29 +23,29 @@ The model protocol, read by the engine, its label indexes and the CLI:
   label(ints)            the label written as the flat integers that
                          label_ints gives, or None when those integers
                          name no basis label
-  shift(label)           optional: the label map of a one-to-one linear
-                         map of the module that takes each label to one
-                         label, raises the degree by at most one and
-                         commutes with right multiplication by every
-                         polynomial; the engine widens through it
-  columns                optional, when the labels are Weyl monomials
-                         listed in lexicographic order within a degree:
-                         their packing into int columns, a
+  columns                optional, when the labels pack as Weyl
+                         monomials in lexicographic order within a
+                         degree: their packing into int columns, a
                          grading.MonomialColumns; the engine then
                          indexes labels by column, with no label table
-  shift_x                optional, with shift and columns: the i for
-                         which shift is left multiplication by x_i, so
-                         that it adds columns.weights[i] to a column
-  unshifted_labels(d)    with shift_x: the labels of degree d with no
-                         x_i, in the order of labels(d)
+  shift_x                optional, with columns: an i such that adding
+                         columns.weights[i] to every column is a
+                         one-to-one linear map of the module that raises
+                         the degree by one and commutes with right
+                         multiplication by every polynomial; the engine
+                         widens through it
+  unshifted_labels(d)    with shift_x: the labels of degree d whose
+                         column is not a degree d - 1 column plus that
+                         step, in the order of labels(d)
 
-FreeWeylModule shifts by left multiplication by the first variable x,
-LineICModule and KummerICModule by the right action of x ((i, j) ->
-(i+1, j) and (k, j) -> (k+1, j); for k < 0 the Kummer map lowers the
-degree).  DeltaModule has no shift: x lowers its degree and is not
-one-to-one.  DXQuotientModule adds row(label, elem), the integer row
-the engine eliminates, on its columns, and has a shift when its divisor
-is a polynomial whose lm misses some x_i (see its docstring).
+The x-shift is left multiplication by x on FreeWeylModule, and by an
+x_i that lm(f) lacks on DXQuotientModule when its divisor is a
+polynomial (see its docstring); on LineICModule, whose (i, j) packs as
+the one-variable monomial x^i d^j, it is the right action of x,
+(i, j) -> (i+1, j).  DeltaModule and KummerICModule list every label:
+x lowers the degree on delta, and on Kummer for k < 0.  DXQuotientModule
+adds row(label, elem), the integer row the engine eliminates, on its
+columns.
 
 Shipped models:
 
@@ -235,7 +235,6 @@ class FreeWeylModule:
         self.n = n
         self.name = f"free:{n}"
         self.shift_x = 0
-        self.shift = functools.partial(_times_x, 0)
 
     @functools.cached_property
     def columns(self):
@@ -324,8 +323,32 @@ def _homogeneous_mf_level_bound(f, level):
     return level + degs.pop()
 
 
+class _PairColumns(MonomialColumns):
+    """The pairs (i, j) packed as the one-variable monomials x^i d^j."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(1)
+
+    def column(self, label):
+        return super().column(((label[0],), (label[1],)))
+
+    def label(self, column):
+        (i,), (j,) = super().label(column)
+        return i, j
+
+
 class LineICModule:
-    """C[x] tensor C[dy] with basis (i, j) = x^i dy^j, degree i + j."""
+    """C[x] tensor C[dy] with basis (i, j) = x^i dy^j, degree i + j.
+
+    (i, j) packs as the one-variable monomial x^i d^j (columns), and the
+    right action of x, (i, j) -> (i+1, j), adds columns.weights[0]
+    (shift_x), so only (0, d) is not the x-shift of a lower label.
+    """
+
+    columns = _PairColumns()
+    shift_x = 0
 
     def __init__(self, lines=2):
         if lines < 1:
@@ -337,14 +360,14 @@ class LineICModule:
     def labels(self, d):
         return [(i, d - i) for i in range(d + 1)]
 
+    def unshifted_labels(self, d):
+        return [(0, d)]
+
     def degree(self, label):
         return label[0] + label[1]
 
     def label(self, ints):
         return tuple(ints) if len(ints) == 2 and min(ints) >= 0 else None
-
-    def shift(self, label):
-        return label[0] + 1, label[1]
 
     def act(self, label, mono):
         (i, j), ((ax, ay), (bx, by)) = label, mono
@@ -391,9 +414,6 @@ class KummerICModule:
     def label(self, ints):
         # k in Z, only the dy exponent j is bounded below
         return tuple(ints) if len(ints) == 2 and ints[1] >= 0 else None
-
-    def shift(self, label):
-        return label[0] + 1, label[1]
 
     def act(self, label, mono):
         (k, j), ((ax, ay), (bx, by)) = label, mono
@@ -446,14 +466,14 @@ class DXQuotientModule:
     of NF.  Any other elem, and every elem when f has a d part, takes
     the full product label*elem.
 
-    shift exists when f is a polynomial and lm(f) misses some x_i: it
-    is left multiplication by the first such x_i (shift_x).  That maps
-    standard monomials to standard monomials (lm(f) divides x_i*m only
-    if it divides m), so x_i*NF(h) = NF(x_i*h), and it commutes with
-    right multiplication because f commutes with x_i.  CokernelEngine
-    widens through it from its stored echelon rows.  A monomial without
-    x_i is standard exactly when it is standard for lm(f) without its
-    x_i slot, so unshifted_labels lists those directly.
+    shift_x exists when f is a polynomial and lm(f) misses some x_i:
+    it names the first such x_i, and the x-shift is left multiplication
+    by it.  That maps standard monomials to standard monomials (lm(f)
+    divides x_i*m only if it divides m), so x_i*NF(h) = NF(x_i*h), and
+    it commutes with right multiplication because f commutes with x_i.
+    CokernelEngine widens through it as chains of its echelon rows.  A
+    monomial without x_i is standard exactly when it is standard for
+    lm(f) without its x_i slot, so unshifted_labels lists those directly.
     """
 
     def __init__(self, f):
@@ -474,7 +494,6 @@ class DXQuotientModule:
             self._parts = {}  # {xexp: _x_parts(xexp)}
             if 0 in lead_x:
                 self.shift_x = i = lead_x.index(0)
-                self.shift = functools.partial(_times_x, i)
                 self._free_lead = self._lead[:i] + self._lead[i + 1:]
 
     def labels(self, d):
@@ -601,12 +620,6 @@ def _partials(terms):
             if any(k):
                 out.setdefault(k, {})[tuple(map(sub, xexp, k))] = c * math.prod(map(math.perm, xexp, k))
     return out
-
-
-def _times_x(i, label):
-    """x_i times the monomial label (xexp, dexp)."""
-    xexp, dexp = label
-    return xexp[:i] + (xexp[i] + 1,) + xexp[i + 1:], dexp
 
 
 def parse_model(text):

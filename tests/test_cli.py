@@ -90,15 +90,21 @@ def test_twist_no_solution_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ("ext-module", "--model", "free:1", "--f", "x", "--max-deg", "65536"),
     ("ext-self", "--f", "y^2 - x^3", "--max-deg", "65536"),
-], ids=["module", "self"])
+    ("ext-module", "--model", "delta:2", "--f", "x*y", "--max-deg", "70000"),
+    ("ext-module", "--model", "kummer:2:1/2", "--f", "x*y", "--max-deg", "70000"),
+    ("ext-module", "--model", "nlines-ic:2", "--f", "x*y", "--max-deg", "70000"),
+    ("curve-crosscheck", "--n", "2", "--model", "trivial", "--max-deg", "70000"),
+], ids=["module", "self", "delta", "kummer", "nlines", "crosscheck"])
 def test_level_past_packed_columns_fails_cleanly(capsys, argv):
-    # a label exponent above MAX_EXPONENT does not fit a packed column:
-    # the run fails at once with a message, not a traceback
+    # a level above MAX_EXPONENT does not fit a packed column, and every
+    # model's index refuses it: the run fails at once with one message,
+    # not a traceback, before it lists a label
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 1 and not out
     assert f"above {MAX_EXPONENT}" in err and "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
 
 
 def test_usage_error_nonpolynomial_f(capsys):

@@ -22,9 +22,7 @@ from dxext.hyperext import (
     solve_twist,
 )
 from dxext.grading import MAX_EXPONENT
-from dxext.models import (
-    DXQuotientModule, DeltaModule, FreeWeylModule, KummerICModule, LineICModule, _times_x, parse_model,
-)
+from dxext.models import DXQuotientModule, DeltaModule, FreeWeylModule, KummerICModule, LineICModule, parse_model
 from dxext.parser import parse
 from dxext.tables import EXACT_GRADED, EXACT_ZERO, STABILIZED
 from dxext.weyl import Filtration, WeylElement
@@ -37,6 +35,21 @@ def P(text):
 def self_engine(f):
     """The engine of D/(Df + fD): rows NF(g*f) in D/fD, g standard."""
     return CokernelEngine(DXQuotientModule(f), f)
+
+
+def times_x(i, label):
+    """x_i times the Weyl monomial label (xexp, dexp)."""
+    xexp, dexp = label
+    return xexp[:i] + (xexp[i] + 1,) + xexp[i + 1 :], dexp
+
+
+def x_shift(module, label):
+    """The label the model's x-shift takes label to, from the labels
+    alone: x_i times a Weyl monomial, and on the line model the right
+    action of x, (i, j) -> (i + 1, j)."""
+    if isinstance(module, LineICModule):
+        return label[0] + 1, label[1]
+    return times_x(module.shift_x, label)
 
 
 def test_node_dimension_sequence():
@@ -143,28 +156,30 @@ def test_shifted_pivot_is_the_pivot_of_the_shifted_row():
     # a row shifted by x_i pivots at its pivot plus the index's step, so
     # the echelon can keep every shift of a stored row as a member of its
     # chain; checked on every row, members built
-    for engine, shift in (
+    for engine, widen in (
         (self_engine(P(CUSP)), lambda e: e.ext1_levels(4, 4, 3)),
         (CokernelEngine(parse_model("free:2"), P("x*y")), lambda e: e.widen_to(6)),
+        (CokernelEngine(LineICModule(2), P(CUSP)), lambda e: e.widen_to(8)),
     ):
-        shift(engine)
+        widen(engine)
         index, module = engine.index, engine.index.module
         rows = engine.echelon.rows
-        assert len(rows) == engine.echelon.rank
+        assert len(rows) == engine.echelon.rank > len(engine.echelon._rows)
         for p, row in rows.items():
-            shifted = index.vector({module.shift(lab): v for lab, v in index.combination(row).items()})
+            shifted = index.vector({x_shift(module, lab): v for lab, v in index.combination(row).items()})
             assert max(shifted) == p + index.step, p
 
 
 @pytest.mark.parametrize("spec", [
     "dx:y^2 - x^3", "dx:x^3 + y^5", "dx:z^2 - x*y", "free:2", "free:3",
-    "dx:x*y", "free:1", "dx:x*y + dx",
+    "dx:x*y", "free:1", "dx:x*y + dx", "nlines-ic:2",
 ])
 def test_label_order_column_map_matches_the_generic_map(spec):
     # through degree 8 the packed columns sort the labels in the order
     # ModuleIndex numbers them, give each label's degree by a shift, and
-    # map x_i to adding weights[i]; a shift by x_i adds the index's step
-    # to every column, and its unshifted labels are those ModuleIndex finds
+    # map x_i on a Weyl monomial to adding weights[i]; the x-shift adds
+    # the index's step to every column, and the labels that get rows of
+    # their own are those outside its image
     module = parse_model(spec)
     packed, numbered = MonomialIndex(module), ModuleIndex(module)
     assert isinstance(CokernelEngine(module, parse("x", module.n)).index, MonomialIndex)
@@ -175,94 +190,64 @@ def test_label_order_column_map_matches_the_generic_map(spec):
     assert packed.vector({lab: 1 for lab in labels}) == dict.fromkeys(cols, 1)
     assert packed.combination(dict.fromkeys(cols, 1)) == dict.fromkeys(labels, 1)
     assert [packed.degree_of(c) for c in cols] == [module.degree(lab) for lab in labels]
-    for i, step in enumerate(module.columns.weights[: module.n]):
-        assert [column(_times_x(i, lab)) for lab in labels] == [c + step for c in cols]
+    if not isinstance(module, LineICModule):  # its labels are pairs (i, j)
+        for i, step in enumerate(module.columns.weights[: module.n]):
+            assert [column(times_x(i, lab)) for lab in labels] == [c + step for c in cols]
     for d in range(9):
         assert packed.labels_of_degree(d) == numbered.labels_of_degree(d)
         assert packed.prefix_size(d) == numbered.prefix_size(d)
     if hasattr(module, "shift_x"):
         assert packed.step == module.columns.weights[module.shift_x]
         columns = cols[: numbered.prefix_size(7)]  # their shifts lie in degree 8
-        assert [column(module.shift(lab)) for lab in labels[: len(columns)]] == [c + packed.step for c in columns]
+        assert [column(x_shift(module, lab)) for lab in labels[: len(columns)]] == [c + packed.step for c in columns]
         for d in range(9):
-            assert packed.unshifted_labels(d) == numbered.unshifted_labels(d)
+            image = {x_shift(module, lab) for lab in numbered.labels_of_degree(d - 1)} if d else set()
+            assert packed.new_labels(d) == [lab for lab in numbered.labels_of_degree(d) if lab not in image]
     else:
         assert packed.step is None
+        assert all(packed.new_labels(d) == numbered.labels_of_degree(d) for d in range(9))
 
 
 def test_packed_columns_hold_every_degree_through_their_limit():
     # 16-bit slots: free:1 at max_deg 300 (an 8-bit slot would refuse it)
     # keeps its exact-graded table, and a degree past MAX_EXPONENT is
-    # refused by the index before any label is listed or any row is built
+    # refused by the index before any label is listed or any row is
+    # built; so is it on the line model's pairs, packed as x^i d^j, and
+    # on the numbered columns of the Kummer and delta models
     ext0, ext1 = ext_module_dims(FreeWeylModule(1), parse("x", 1), 300)
     assert ext0.dims() == [0] * 301 and ext1.dims() == [m + 1 for m in range(301)]
     assert {lvl.status for table in (ext0, ext1) for lvl in table.levels} == {EXACT_GRADED}
     assert ext1.notes["generator_degree_bound"] == 299
-    index = MonomialIndex(FreeWeylModule(1))
-    assert index.labels_of_degree(MAX_EXPONENT)[0] == ((0,), (MAX_EXPONENT,))
-    assert index.vector({((MAX_EXPONENT,), (0,)): 1}) == {MAX_EXPONENT * index.columns.weights[0]: 1}
-    for call in (
-        lambda: index.prefix_size(MAX_EXPONENT + 1),
-        lambda: index.labels_of_degree(MAX_EXPONENT + 1),
-        lambda: index.unshifted_labels(MAX_EXPONENT + 1),
-        lambda: index.vector({((MAX_EXPONENT + 1,), (0,)): 1}),
-        lambda: ext1_self_dims(P("y^2 - x^3"), MAX_EXPONENT + 1),
+    top = MAX_EXPONENT
+    for module, low, high, past in (
+        (FreeWeylModule(1), ((0,), (top,)), ((top,), (0,)), ((top + 1,), (0,))),
+        (LineICModule(2), (0, top), (top, 0), (top + 1, 0)),
     ):
-        with pytest.raises(ValueError, match=f"above {MAX_EXPONENT}"):
-            call()
-    assert index._through == []
-
-
-def test_shifted_pivot_stops_where_the_column_map_falls():
-    # Kummer's shift lowers the degree of (k, j) for k < 0, so its column
-    # map falls at the first such label, and the shift of a row need not
-    # pivot at the shift of its pivot: numbered columns keep no chains,
-    # and every shifted row is reduced as it is added
-    index = ModuleIndex(KummerICModule(Fraction(1, 2)))
-    index.extend_to(4)
-    size = index.prefix_size(4)
-    cols = [max(index.shifted({c: 1})) for c in range(size)]
-    fall = next(c for c in range(1, size) if cols[c] < cols[c - 1])
-    assert fall == 1
-    assert max(index.shifted({0: 1, 1: 1})) == cols[0] != cols[1]
-    # the column map built in one call agrees with the one built column
-    # by column
-    fresh = ModuleIndex(KummerICModule(Fraction(1, 2)))
-    fresh.extend_to(4)
-    assert fresh.shifted(dict.fromkeys(range(size), 1)) == dict.fromkeys(cols, 1)
-    engine = CokernelEngine(KummerICModule(Fraction(1, 2)), P(CUSP))
-    engine.widen_to(6)
-    assert engine.stored and engine.echelon.rank == len(engine.echelon._rows)
-
-
-def test_no_shifted_kummer_insert_reduces_to_zero(monkeypatch):
-    # a row stored for a label (k, j) with k < 0 is not shifted, since its
-    # shift would lie in the span already; every shifted insert that is
-    # left must store a new row
-    from dxext.linalg import SparseEchelon
-
-    shifted_vecs, results = [], []
-    real_shifted, real_add = ModuleIndex.shifted, SparseEchelon.add
-
-    def shifted(self, vec):
-        out = real_shifted(self, vec)
-        shifted_vecs.append(out)
-        return out
-
-    def add(self, vec):
-        is_shift = bool(shifted_vecs) and vec is shifted_vecs[-1]
-        out = real_add(self, vec)  # may build images, through shifted
-        if is_shift:
-            results.append(out)
-        return out
-
-    monkeypatch.setattr(ModuleIndex, "shifted", shifted)
-    monkeypatch.setattr(SparseEchelon, "add", add)
-    for lam in (Fraction(1, 2), Fraction(-5, 3), Fraction(7, 3)):
-        for f in (P("x*y"), planar_model(3), P(CUSP)):
-            CokernelEngine(KummerICModule(lam), f).widen_to(11)
-    assert len(results) > 100
-    assert all(row is not None for row in results)
+        index = MonomialIndex(module)
+        assert index.labels_of_degree(top)[0] == low and index.new_labels(top) == [low]
+        assert index.vector({high: 1}) == {top * index.columns.weights[0]: 1}
+        assert index.combination(index.vector({low: 2, high: 3})) == {low: 2, high: 3}
+        for call in (
+            lambda: index.prefix_size(top + 1),
+            lambda: index.labels_of_degree(top + 1),
+            lambda: index.new_labels(top + 1),
+            lambda: index.vector({past: 1}),
+        ):
+            with pytest.raises(ValueError, match=f"above {MAX_EXPONENT}"):
+                call()
+        assert index._through == []
+    for module in (KummerICModule(Fraction(1, 2)), DeltaModule(2)):
+        index = ModuleIndex(module)
+        for call in (
+            lambda: index.prefix_size(top + 1),
+            lambda: index.labels_of_degree(top + 1),
+            lambda: index.new_labels(top + 1),
+        ):
+            with pytest.raises(ValueError, match=f"above {MAX_EXPONENT}"):
+                call()
+        assert index._through == [] and index._labels == []
+    with pytest.raises(ValueError, match=f"above {MAX_EXPONENT}"):
+        ext1_self_dims(P("y^2 - x^3"), MAX_EXPONENT + 1)
 
 
 def test_cusp_rank_comes_from_1513_base_rows():
@@ -522,9 +507,11 @@ CUSP = "y^2 - x^3"
     ("nlines-ic:2", CUSP, 4, [1, 3, 6, 9, 12], STABILIZED, "generator_width", 10),
     ("nlines-ic:2", "x*y", 6, [1, 2, 3, 4, 5, 6, 7], EXACT_GRADED, "generator_degree_bound", 8),
     ("free:2", "x*y", 5, [1, 5, 14, 30, 55, 91], EXACT_GRADED, "generator_degree_bound", 3),
-    # the window path through Kummer's shift, which lowers the degree for k < 0
+    # the window path on numbered columns: Kummer has no x-shift
     ("kummer:2:1/2", CUSP, 4, [0] * 5, EXACT_ZERO, "generator_width", 9),
     ("free:2", "y^2 - x^3 + x", 5, [1, 5, 15, 34, 65, 111], EXACT_GRADED, "generator_degree_bound", 2),
+    # the line model's chains, through a bound of 22
+    ("nlines-ic:2", "x*y", 20, list(range(1, 22)), EXACT_GRADED, "generator_degree_bound", 22),
 ])
 def test_module_route_notes_pinned(spec, text, max_deg, dims, status, note, value):
     # A bounded model reports its generator bound; the others report the

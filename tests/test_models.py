@@ -55,6 +55,13 @@ def label_models():
     ]
 
 
+def x_shift(module, label):
+    """The label whose column is label's plus the step of the model's
+    x-shift."""
+    columns = module.columns
+    return columns.label(columns.column(label) + columns.weights[module.shift_x])
+
+
 @pytest.mark.parametrize("module", label_models(), ids=lambda m: m.name)
 def test_labels_by_degree(module):
     seen = set()
@@ -379,7 +386,7 @@ ENGINE_ROW_CASES = [
     ("x + dx", "x^2"),
     ("x*y + dx", "x*y"),
     ("x^2 + dy", "x*y"),  # lm misses y, but f does not commute with y
-    # lm misses an x_i: the engine shifts its stored echelon rows
+    # lm misses an x_i: the engine keeps its echelon rows as x-chains
     ("x^3 + y^4", "x^3 + y^4"),
     ("y^2 - x^5", "y^2 - x^5"),
 ]
@@ -396,18 +403,17 @@ def _assert_engine_matches_oracle(module, f, row, max_width):
     # Span oracle: at every width through max_width the engine's echelon
     # spans what a fresh echelon of row(label) over every label through
     # that width spans, read as rank, pivot set and level dims.  Only
-    # the labels outside the image of the model's shift get rows of their
-    # own, in label order.
+    # the labels outside the image of the model's x-shift (adding the
+    # step to a column) get rows of their own, in label order.
     engine = CokernelEngine(module, f)
     kernel, requested = engine.row, []
     engine.row = lambda label: requested.append(label) or kernel(label)
     oracle = SparseEchelon()
-    shift = getattr(module, "shift", None)
     for width in range(max_width + 1):
         requested.clear()
         engine.widen_to(width)
         labels = engine.index.labels_of_degree(width)
-        image = {shift(lab) for lab in module.labels(width - 1)} if shift else set()
+        image = {x_shift(module, lab) for lab in module.labels(width - 1)} if hasattr(module, "shift_x") else set()
         assert requested == [lab for lab in labels if lab not in image]
         for label in labels:
             oracle.add(engine.index.vector(row(label)))
@@ -456,7 +462,7 @@ def test_divisor_rows_are_positive_multiples_of_the_full_product(f):
         assert t is not None and t > 0, (label, row)
 
 
-ACT_SHIFT_MODELS = [
+ACT_MODELS = [
     FreeWeylModule(1),
     FreeWeylModule(2),
     LineICModule(2),
@@ -467,11 +473,12 @@ ACT_SHIFT_MODELS = [
 
 
 @pytest.mark.parametrize("text", ["x*y", "y^2 - x^3", "x*y + x^2 + 1"])
-@pytest.mark.parametrize("module", [*ACT_SHIFT_MODELS, DeltaModule(2)], ids=lambda m: m.name)
+@pytest.mark.parametrize("module", [*ACT_MODELS, DeltaModule(2)], ids=lambda m: m.name)
 def test_act_word_engine_rows_match_full_product(module, text):
-    # the models without a row kernel widen through the same shift, with
-    # act_word rows for the labels outside its image; the delta module has
-    # no shift, so every label gets an act_word row
+    # the models without a row kernel: the free and line models widen
+    # through the same x-chains, with act_word rows for the labels
+    # outside the shift's image; the Kummer and delta models have no
+    # x-shift, so every label gets an act_word row
     f = parse(text if module.n == 2 else "x^2 + 1", module.n)
     _assert_engine_matches_oracle(module, f, lambda label: act_word(module, {label: 1}, f), 6)
 
@@ -486,7 +493,7 @@ def _oracle_row(module, f):
 
 
 @pytest.mark.parametrize("module", [
-    DXQuotientModule(CUSP), FreeWeylModule(2), LineICModule(3), KummerICModule(Fraction(1, 2)),
+    DXQuotientModule(CUSP), FreeWeylModule(2), LineICModule(3), KummerICModule(Fraction(1, 2)), DeltaModule(2),
 ], ids=lambda m: m.name)
 def test_materialised_rows_lie_in_the_span(module):
     # On packed columns shifted rows are members of chains, never built
@@ -494,7 +501,7 @@ def test_materialised_rows_lie_in_the_span(module):
     # grow through every width before anything builds them) must
     # materialise rows that lie in the span of row(label) over every
     # label through that width, with the same rank: the two spans are
-    # equal.  The line and Kummer models, on numbered columns, keep no
+    # equal.  The Kummer and delta models, on numbered columns, keep no
     # chains.
     row = _oracle_row(module, CUSP)
     oracle, index = SparseEchelon(), ModuleIndex(module)
@@ -509,7 +516,7 @@ def test_materialised_rows_lie_in_the_span(module):
         assert len(rows) == engine.echelon.rank == oracle.rank
         for vec in rows.values():
             assert oracle.contains(index.vector(engine.index.combination(vec)))
-    assert (members == 0) == isinstance(module, (LineICModule, KummerICModule))
+    assert (members == 0) == isinstance(module, (KummerICModule, DeltaModule))
 
 
 @pytest.mark.parametrize("module", [
@@ -531,59 +538,63 @@ def test_actions_are_integers_where_integral(module):
 
 
 def test_shift_only_for_polynomial_divisors():
-    # the shifted-row path needs an x_i that lm(f) lacks and commutes with f
-    assert DXQuotientModule(parse("y^2 - x^3")).shift(((1, 0), (0, 2))) == ((1, 1), (0, 2))
-    assert DXQuotientModule(parse("x^3 + y^4")).shift(((0, 1), (1, 0))) == ((1, 1), (1, 0))
+    # the x-chains need an x_i that lm(f) lacks and commutes with f
+    cusp, e6 = DXQuotientModule(parse("y^2 - x^3")), DXQuotientModule(parse("x^3 + y^4"))
+    assert cusp.shift_x == 1 and x_shift(cusp, ((1, 0), (0, 2))) == ((1, 1), (0, 2))
+    assert e6.shift_x == 0 and x_shift(e6, ((0, 1), (1, 0))) == ((1, 1), (1, 0))
     for text in ("x*y", "x*y*(x - y)", "x*y*z", "x*y + dx", "x + dx", "x^2 + dy"):
-        assert not hasattr(DXQuotientModule(parse(text)), "shift"), text
-    shifting = [m.name for m in label_models() if hasattr(m, "shift")]
+        assert not hasattr(DXQuotientModule(parse(text)), "shift_x"), text
+    shifting = [m.name for m in label_models() if hasattr(m, "shift_x")]
     assert shifting == [
-        "free:1", "free:2", "nlines-ic:2", "nlines-ic:3", "kummer:2:1/2", f"dx:{parse('y^2 - x^3')}",
+        "free:1", "free:2", "nlines-ic:2", "nlines-ic:3", f"dx:{parse('y^2 - x^3')}",
     ]
-    assert all(hasattr(m, "shift") for m in ACT_SHIFT_MODELS)
-    # x lowers the degree on the delta module: no shift
-    assert not hasattr(DeltaModule(1), "shift") and not hasattr(DeltaModule(2), "shift")
+    assert [m.name for m in ACT_MODELS if hasattr(m, "shift_x")] == ["free:1", "free:2", "nlines-ic:2", "nlines-ic:3"]
+    # x lowers the degree on the delta module, and on Kummer for k < 0:
+    # no x-shift, and no packed columns
+    for module in (DeltaModule(1), DeltaModule(2), KummerICModule(Fraction(1, 2)), KummerICModule(Fraction(-5, 3), 3)):
+        assert not hasattr(module, "shift_x") and not hasattr(module, "columns"), module.name
 
 
 SHIFT_MODELS = [
     DXQuotientModule(parse(text)) for text in ("y^2 - x^3", "x^3 + y^4", "y^2 - x^5", "x^2*y + z")
 ]
-
-
-@pytest.mark.parametrize(
-    "module",
-    {m.name: m for m in label_models() + ACT_SHIFT_MODELS + SHIFT_MODELS if hasattr(m, "shift")}.values(),
-    ids=lambda m: m.name,
+X_SHIFT_MODELS = list(
+    {m.name: m for m in label_models() + ACT_MODELS + SHIFT_MODELS if hasattr(m, "shift_x")}.values()
 )
+
+
+@pytest.mark.parametrize("module", X_SHIFT_MODELS, ids=lambda m: m.name)
 def test_shift_contract(module):
-    # one-to-one on labels (a shifted row mixes degrees, so across them
-    # too), raising the degree by at most one, and commuting with the
-    # action of every x_i, so with right multiplication by every polynomial
+    # adding the step to a label's column gives a label of the next
+    # degree: one-to-one on labels (a shifted row mixes degrees, so
+    # across them too), and commuting with the action of every x_j, so
+    # with right multiplication by every polynomial
     seen = set()
     for d in range(7):
         labels = module.labels(d)
-        image = [module.shift(label) for label in labels]
+        image = [x_shift(module, label) for label in labels]
         assert seen.isdisjoint(image) and len(set(image)) == len(image)
         seen.update(image)
         for label, shifted in zip(labels, image):
-            assert module.degree(shifted) <= d + 1
-            assert shifted in module.labels(module.degree(shifted))
-            for i in range(module.n):
-                x_i = generator("x", i, module.n)
-                moved = {module.shift(lab): c for lab, c in module.act(label, x_i).items()}
-                assert module.act(shifted, x_i) == moved
+            assert module.degree(shifted) == d + 1
+            assert shifted in module.labels(d + 1)
+            for j in range(module.n):
+                x_j = generator("x", j, module.n)
+                moved = {x_shift(module, lab): c for lab, c in module.act(label, x_j).items()}
+                assert module.act(shifted, x_j) == moved
 
 
-@pytest.mark.parametrize("module", SHIFT_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("module", X_SHIFT_MODELS, ids=lambda m: m.name)
 def test_shift_maps_labels_into_next_degree(module):
-    # one-to-one from labels(d) into labels(d + 1), onto the labels
-    # with a positive exponent of the x_i that shift(1) names
-    one = module.labels(0)[0]
-    i = label_ints(module.shift(one)).index(1)
+    # one-to-one from labels(d) into labels(d + 1), onto the labels with
+    # a positive exponent of x_i (i on the line model's (i, j)); the
+    # others are unshifted_labels(d + 1), in label order
+    i = module.shift_x
     for d in range(6):
-        image = [module.shift(label) for label in module.labels(d)]
+        image = [x_shift(module, label) for label in module.labels(d)]
         assert len(set(image)) == len(image)
-        assert set(image) == {lab for lab in module.labels(d + 1) if lab[0][i]}
+        assert set(image) == {lab for lab in module.labels(d + 1) if label_ints(lab)[i]}
+        assert module.unshifted_labels(d + 1) == [lab for lab in module.labels(d + 1) if lab not in image]
 
 
 def _weyl_elements(n, max_terms):
