@@ -95,9 +95,11 @@ whose mf_level_bound is not None get exact cokernel levels too.
 
 The End(D_X) layer: endomorphisms of D_X are classes of alpha with
 alpha*f = f*beta for a (unique) twist beta.  On Ext^0 an endomorphism
-acts by right multiplication by alpha, on Ext^1 by right
-multiplication by beta, and Ext^1(D_X, D_X) acts on itself through
-the plain product of representatives.
+acts by right multiplication by alpha, and on Ext^1 by right
+multiplication by beta.  action_ext1_on_ext1 multiplies a canonical
+representative of one self-Ext^1 class by a representative d of
+another; its result depends on d, not only on d's class: d and d + f*b
+can give different results (see its docstring).
 """
 
 from __future__ import annotations
@@ -426,13 +428,18 @@ class EndElement:
     beta: WeylElement
 
     def verify(self, f):
-        if self.alpha * f != f * self.beta:
-            raise ValueError("alpha*f != f*beta")
-        sa = self.alpha.principal_symbol(Filtration.ORDER)
-        sb = self.beta.principal_symbol(Filtration.ORDER)
-        if sa != sb:
-            raise ValueError("twist changed the principal symbol")
-        return True
+        return _check_twist(self, f, self.alpha * f)
+
+
+def _check_twist(end, f, product):
+    """EndElement.verify against product, which must be end.alpha*f."""
+    if product != f * end.beta:
+        raise ValueError("alpha*f != f*beta")
+    sa = end.alpha.principal_symbol(Filtration.ORDER)
+    sb = end.beta.principal_symbol(Filtration.ORDER)
+    if sa != sb:
+        raise ValueError("twist changed the principal symbol")
+    return True
 
 
 def solve_twist(f, alpha):
@@ -441,16 +448,20 @@ def solve_twist(f, alpha):
     beta is the quotient of the left division of alpha*f by f.  {f} is
     a Groebner basis of its principal ideal, so a nonzero remainder
     proves that alpha*f is not in fD, i.e. alpha's class is not an
-    endomorphism.
+    endomorphism.  The pair is then checked as EndElement.verify does,
+    against the same product alpha*f: f*beta must equal it, whatever
+    the division returned, and alpha and beta must share their
+    principal symbol.
     """
     _require_poly(f)
     if alpha.n != f.n:
         raise ValueError("variable count mismatch")
-    beta, rest = divide_left(f.terms, (alpha * f).terms)
+    product = alpha * f
+    beta, rest = divide_left(f.terms, product.terms)
     if rest:
         raise NoTwistSolution(f"{alpha} * {f} is not a left multiple of {f}")
     end = EndElement(alpha, WeylElement(f.n, beta))
-    end.verify(f)
+    _check_twist(end, f, product)
     return end
 
 
@@ -532,12 +543,19 @@ def _reduce_module_class(module, f, comb):
 
 
 def action_ext1_on_ext1(f, e, d):
-    """Pairing of self-Ext^1 classes: the class of the product e*d.
+    """The class of e'*d, for e' the canonical representative of e's
+    self-Ext^1 class and d as given.
 
     e is reduced to its canonical representative first; the product of
     that representative with d is then reduced again.  Reducing first
     makes the value depend only on e's class (a raw representative of e
     may differ by fD terms, which do not die on the right against d).
+    The value does depend on d's representative: changing d by a*f
+    changes the product by e'*a*f, which lies in Df, but changing it by
+    f*b adds e'*f*b, which in general lies in neither Df nor fD.  For f
+    = x*y, e = dx and d = x*y*dy = f*dy, whose class is zero, the
+    result is y*dy, while d = 0 gives 0.  So this is not a product of
+    classes.
     """
     reducer = _self_reducer(f, (e.degree() or 0) + (d.degree() or 0))
     return reducer(reducer(e) * d)

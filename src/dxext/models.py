@@ -96,7 +96,7 @@ from operator import add, le, lt, sub
 from .grading import MonomialColumns, compositions, monomials_of_degree, require_variables
 from .linalg import primitive
 from .parser import parse
-from .weyl import _mono_mul, _unit, divide_left, graded_key, mul_terms, pseudo_divide_left
+from .weyl import _mono_mul, _partials, _unit, divide_left, graded_key, mul_terms, pseudo_divide_left
 
 __all__ = [
     "FreeWeylModule",
@@ -490,7 +490,8 @@ class DXQuotientModule:
         self._lead = lead_x + lead_d
         self._polynomial = f.is_polynomial
         if self._polynomial:
-            self._partials = _partials(self._f_ints)
+            tops = [max(col) for col in zip(*(xexp for xexp, _ in f.terms))]
+            self._partials = {k: p for k, p in _partials(self._f_ints, tops).items() if any(k)}
             self._parts = {}  # {xexp: _x_parts(xexp)}
             if 0 in lead_x:
                 self.shift_x = i = lead_x.index(0)
@@ -608,17 +609,6 @@ def _standard_labels(d, lead, nx):
 
     if live[0] and d >= 0:
         walk((), 0, d)
-    return out
-
-
-def _partials(terms):
-    """The partial derivatives d^k p, k != 0, of a polynomial p given by
-    integer terms, as {k: {xexp: int}}; only the nonzero ones are kept."""
-    out = {}
-    for (xexp, _), c in terms.items():
-        for k in itertools.product(*(range(e + 1) for e in xexp)):
-            if any(k):
-                out.setdefault(k, {})[tuple(map(sub, xexp, k))] = c * math.prod(map(math.perm, xexp, k))
     return out
 
 

@@ -8,7 +8,8 @@ decrease, and otherwise keeps each (rule, reduct) pair in the system's
 table.  Through PROBE_DEGREE, normal forms, confluence_check and
 irreducible_dims read that table and call no rule; above it they call
 the rules, and every rewrite there is checked to decrease, so every
-reduction ends.  Normal forms walk the rewrites with an explicit stack,
+reduction ends.  Normal forms walk the rewrites with an explicit stack
+and a memo that lives for one call of normal_form or confluence_check,
 and normal_form refuses an element above MAX_NF_DEGREE.  confluence_check
 certifies unique normal forms by Bergman's fork check: visiting the
 monomials in increasing order, it compares the normal forms of the
@@ -76,7 +77,6 @@ class RewriteSystem:
         self._rules = ()
         self._probe = [tuple(monomials_of_degree(n, d)) for d in range(PROBE_DEGREE + 1)]
         self._table = {}
-        self._nf_cache = {}
 
     @property
     def rules(self):
@@ -95,7 +95,6 @@ class RewriteSystem:
         for mono, out in verified:
             self._table[mono] = self._table.get(mono, ()) + ((rule, out),)
         self._rules += (rule,)
-        self._nf_cache.clear()
 
     def _monomials(self, d):
         """The monomials of degree d, in increasing graded order."""
@@ -133,14 +132,14 @@ class RewriteSystem:
         pairs = self._table.get(mono)
         return (pairs[0][1] if pairs else _decreasing_rewrite(rule, mono)).terms
 
-    def _mono_normal_form(self, mono):
+    def _mono_normal_form(self, mono, memo):
         """Normal form of a single monomial under first-rule strategy.
 
         The rewrites are walked with an explicit stack, not one Python
-        frame per step, and every normal form found is memoized.  Each
-        rewrite decreases, so the walk ends.
+        frame per step, and every normal form found is kept in memo, a
+        dict that lives for one public call.  Each rewrite decreases, so
+        the walk ends.
         """
-        memo = self._nf_cache
         stack = [mono]
         while stack:
             top = stack[-1]
@@ -161,11 +160,12 @@ class RewriteSystem:
             memo[top] = result
         return memo[mono]
 
-    def _terms_normal_form(self, terms):
-        """First-rule normal form of a term dict, as a term dict."""
+    def _terms_normal_form(self, terms, memo):
+        """First-rule normal form of a term dict, as a term dict; memo is
+        _mono_normal_form's."""
         acc = {}
         for mono, c in terms.items():
-            _add_scaled(acc, self._mono_normal_form(mono), c)
+            _add_scaled(acc, self._mono_normal_form(mono, memo), c)
         return acc
 
     def normal_form(self, elem):
@@ -179,7 +179,7 @@ class RewriteSystem:
         degree = elem.degree() or 0
         if degree > MAX_NF_DEGREE:
             raise ValueError(f"degree {degree} is above MAX_NF_DEGREE = {MAX_NF_DEGREE}")
-        return WeylElement(self.n, self._terms_normal_form(elem.terms))
+        return WeylElement(self.n, self._terms_normal_form(elem.terms, {}))
 
     def irreducible_projection(self, elem):
         """Drop every reducible monomial, keeping irreducible terms as is.
@@ -252,6 +252,7 @@ def confluence_check(system, max_deg):
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
     report = ConfluenceReport(max_deg)
+    memo = {}  # normal forms found, shared by every fork of this check
     for d in range(max_deg + 1):
         # the monomials of a degree ascend in graded_key, so every
         # monomial a reduct contains was checked before: the induction
@@ -261,7 +262,7 @@ def confluence_check(system, max_deg):
             if len(reducts) < 2:
                 continue
             forms = {
-                tuple(sorted(system._terms_normal_form(r.terms).items())) for r in reducts
+                tuple(sorted(system._terms_normal_form(r.terms, memo).items())) for r in reducts
             }
             if len(forms) > 1:
                 report.violations.append((mono, sorted(forms)))

@@ -13,6 +13,9 @@ Products are normal-ordered through the closed per-variable formula
     d^b x^a = sum_k  C(b,k) * a!/(a-k)! * x^(a-k) d^(b-k)
 
 which avoids the quadratic blowup of rewriting one commutator at a time.
+A polynomial factor needs less: on the left it only shifts x exponents,
+and on the right mul_terms reads its partial derivatives, which the
+D/fD row kernel (models.DXQuotientModule) shares.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, ge, neg, sub
+from operator import add, ge, le, neg, sub
 
 from .linalg import primitive
 
@@ -115,8 +118,33 @@ def _mono_mul(a, b):
     return out
 
 
+def _partials(terms, top):
+    """The partial derivatives d^k p with 0 <= k <= top (slot by slot)
+    of a polynomial p given by its term dict, as {k: {xexp: c}}; only
+    the nonzero ones are kept, and k = 0 gives p itself."""
+    out = {}
+    for (xexp, _), c in terms.items():
+        for k in itertools.product(*(range(min(e, t) + 1) for e, t in zip(xexp, top))):
+            out.setdefault(k, {})[tuple(map(sub, xexp, k))] = c * math.prod(map(math.perm, xexp, k))
+    return out
+
+
 def mul_terms(a, b):
-    """Normal-ordered product of two term dicts, as a term dict."""
+    """Normal-ordered product of two term dicts, as a term dict.
+
+    A polynomial on the left only shifts the x exponents of b.  A
+    polynomial g on the right takes the closed form
+
+        x^a d^b g = sum_k  C(b,k) * x^a (d^k g) d^(b-k),
+
+    with the partial derivatives d^k g taken only up to the d exponents
+    that occur in a.  Any other product is expanded term pair by term
+    pair through _mono_mul.
+    """
+    if not any(any(dexp) for _, dexp in a):
+        return _polynomial_times(a, b)
+    if not any(any(dexp) for _, dexp in b):
+        return _times_polynomial(a, b)
     acc = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -127,6 +155,39 @@ def mul_terms(a, b):
                     acc[mono] = nc
                 else:
                     acc.pop(mono, None)
+    return acc
+
+
+def _polynomial_times(p, b):
+    """p*b for a polynomial p: each term of b with its x exponents shifted."""
+    acc = {}
+    for (px, _), cp in p.items():
+        for (bx, bd), cb in b.items():
+            mono = tuple(map(add, px, bx)), bd
+            nc = acc.get(mono, 0) + cp * cb
+            if nc:
+                acc[mono] = nc
+            else:
+                del acc[mono]
+    return acc
+
+
+def _times_polynomial(a, g):
+    """a*g for a polynomial g, by the closed form of mul_terms."""
+    parts = _partials(g, [max(col) for col in zip(*(dexp for _, dexp in a))])
+    acc = {}
+    for (ax, ad), ca in a.items():
+        for k, part in parts.items():
+            if not all(map(le, k, ad)):
+                continue
+            c, ds = ca * math.prod(map(math.comb, ad, k)), tuple(map(sub, ad, k))
+            for px, pc in part.items():
+                mono = tuple(map(add, ax, px)), ds
+                nc = acc.get(mono, 0) + c * pc
+                if nc:
+                    acc[mono] = nc
+                else:
+                    del acc[mono]
     return acc
 
 
@@ -220,13 +281,18 @@ def divide_left(f, terms):
     is zero exactly when terms lies in fD.  Such q and r are unique, so
     the division runs fraction-free on primitive integer forms of f and
     terms, and q and r are rescaled once at the end, into the normal
-    form of WeylElement coefficients.
+    form of WeylElement coefficients; a factor of 1 leaves them as the
+    integer dicts they are.
     """
     a, fi = primitive(f)
     b, ti = primitive(terms)
     s, q, r = pseudo_divide_left(fi, ti)
     qs, rs = _coefficient(b / (a * s)), _coefficient(b / s)
-    return _tidy({m: c * qs for m, c in q.items()}), _tidy({m: c * rs for m, c in r.items()})
+    if qs != 1:
+        q = _tidy({m: c * qs for m, c in q.items()})
+    if rs != 1:
+        r = _tidy({m: c * rs for m, c in r.items()})
+    return q, r
 
 
 def _unit(i, n):

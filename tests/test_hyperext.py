@@ -433,6 +433,33 @@ def test_end_element_verify_detects_mismatch():
         bad.verify(f)
 
 
+def test_solve_twist_checks_a_wrong_quotient(monkeypatch):
+    # a division that returned a wrong quotient and no remainder must not
+    # get past the check of f*beta against alpha*f
+    import dxext.hyperext as hyperext
+
+    monkeypatch.setattr(hyperext, "divide_left", lambda f, terms: ({((0, 0), (0, 0)): 1}, {}))
+    with pytest.raises(ValueError, match=r"^alpha\*f != f\*beta$") as caught:
+        solve_twist(P("x*y"), P("x dx"))
+    assert type(caught.value) is ValueError
+
+
+def test_solve_twist_multiplies_alpha_by_f_once(monkeypatch):
+    # one product to divide and check against, one for f*beta
+    import dxext.weyl as weyl
+
+    real, products = weyl.mul_terms, []
+
+    def recording(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    f, alpha, _ = TWIST_CASES["member-plus-f-times-g"]
+    monkeypatch.setattr(weyl, "mul_terms", recording)
+    el = solve_twist(f, alpha)
+    assert products == [(alpha.terms, f.terms), (f.terms, el.beta.terms)]
+
+
 def test_action_ext1_worked_example():
     f = P("x*y")
     el = solve_twist(f, P("x dx"))
@@ -453,6 +480,10 @@ def test_action_ext1_on_ext1_values():
     assert action_ext1_on_ext1(f, WeylElement.one(2), dy) == dy
     assert action_ext1_on_ext1(f, P("dx"), dy) == P("dx dy")
     assert action_ext1_on_ext1(f, P("x"), dy).is_zero
+    # the value depends on d's representative, not only on its class:
+    # x*y*dy = f*dy lies in fD, yet it gives y*dy where 0 gives 0
+    assert action_ext1_on_ext1(f, P("dx"), P("x*y*dy")) == P("y*dy")
+    assert action_ext1_on_ext1(f, P("dx"), WeylElement.zero(2)).is_zero
 
 
 def test_action_ext0_requires_kernel_member():

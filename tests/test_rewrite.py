@@ -5,6 +5,7 @@ monomial by an element of the two-sided ideal D*f + f*D, which the
 widening engine recognizes independently of the rewrite machinery.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -341,6 +342,29 @@ def test_normal_form_of_high_degree_monomial():
     got = node_system().normal_form(WeylElement.monomial(2, (k, 0), (k, 0)))
     coeff = (-1) ** k * factorial(k)
     assert got == WeylElement.monomial(2, (0, 0), (0, 0), coeff) + WeylElement.monomial(2, (0, 1), (0, 1), coeff)
+
+
+def test_normal_forms_leave_no_memo_behind():
+    # the memo of x^k dx^k's walk holds 4,097 forms (6.6 MB); it lives
+    # for one call, so the system holds after normal_form and
+    # confluence_check what it held before, and the call keeps about
+    # 0.1 MB (the interpreter's freed small tuples, which tracemalloc
+    # still counts)
+    system = node_system()
+    sizes = {name: len(value) for name, value in vars(system).items() if hasattr(value, "__len__")}
+    confluence_check(system, PROBE_DEGREE + 2)
+    k = MAX_NF_DEGREE // 2
+    elem = WeylElement.monomial(2, (k, 0), (k, 0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        form = system.normal_form(elem)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(form.terms) == 2
+    assert kept < 1_000_000, kept
+    assert {name: len(value) for name, value in vars(system).items() if hasattr(value, "__len__")} == sizes
 
 
 def test_normal_form_refuses_degree_above_bound(node):

@@ -6,11 +6,14 @@ to it).  The action here is implemented from scratch on exponent dicts
 and shares no code with the normal-ordering product under test.
 """
 
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dxext.weyl import Filtration, SymbolPoly, WeylElement, divide_left, monomial_degree
@@ -233,10 +236,11 @@ coefficients = st.one_of(
 
 
 @st.composite
-def elements(draw, n=None, max_deg=2, max_terms=4):
+def elements(draw, n=None, max_deg=2, max_terms=4, polynomial=False):
     n = draw(st.integers(1, 2)) if n is None else n
     exps = st.tuples(*[st.integers(0, max_deg)] * n)
-    terms = draw(st.dictionaries(st.tuples(exps, exps), coefficients, max_size=max_terms))
+    dexps = st.just((0,) * n) if polynomial else exps
+    terms = draw(st.dictionaries(st.tuples(exps, dexps), coefficients, max_size=max_terms))
     return WeylElement(n, terms)
 
 
@@ -301,3 +305,86 @@ def test_str_parses_back_to_the_element(e):
     assert back == e
     assert back.terms == e.terms
     assert [type(c) for c in back.terms.values()] == [type(e.terms[m]) for m in back.terms]
+
+
+# -- the product against a pairwise Leibniz reference -----------------------
+
+
+def leibniz_product(a, b):
+    """a*b term pair by term pair, each pair normal-ordered slot by slot
+    through d^q x^p = sum_k C(q,k) p!/(p-k)! x^(p-k) d^(q-k), with every
+    coefficient brought to its normal form at the end."""
+    acc = {}
+    for (ax, ad), ca in a.terms.items():
+        for (bx, bd), cb in b.terms.items():
+            slots = [
+                [(k, math.comb(q, k) * math.perm(p, k)) for k in range(min(q, p) + 1)]
+                for q, p in zip(ad, bx)
+            ]
+            for combo in itertools.product(*slots):
+                ks = [k for k, _ in combo]
+                mono = (
+                    tuple(x + y - k for x, y, k in zip(ax, bx, ks)),
+                    tuple(x + y - k for x, y, k in zip(ad, bd, ks)),
+                )
+                acc[mono] = acc.get(mono, 0) + ca * cb * math.prod(c for _, c in combo)
+    out = {}
+    for mono, c in acc.items():
+        if c:
+            c = Fraction(c)
+            out[mono] = c.numerator if c.denominator == 1 else c
+    return out
+
+
+@st.composite
+def factor_pairs(draw):
+    """(a, b) in n = 1..3 variables; either factor may be forced to be a
+    polynomial, so both closed-form paths, and the pairwise path, run."""
+    n = draw(st.integers(1, 3))
+    a_poly, b_poly = draw(st.booleans()), draw(st.booleans())
+    return draw(elements(n=n, max_deg=3, polynomial=a_poly)), draw(elements(n=n, max_deg=3, polynomial=b_poly))
+
+
+def _w(n, *terms):
+    """The element with terms (xexp, dexp, coeff)."""
+    return WeylElement(n, {(x, d): c for x, d, c in terms})
+
+
+HALF = Fraction(1, 2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(factor_pairs())
+@example(pair=(WeylElement.zero(2), _w(2, ((1, 0), (1, 0), 1), ((0, 1), (0, 0), HALF))))
+@example(pair=(_w(2, ((1, 0), (1, 0), 1), ((0, 1), (0, 0), HALF)), WeylElement.zero(2)))
+@example(pair=(_w(2, ((2, 0), (0, 0), Fraction(2, 3)), ((0, 1), (0, 0), Fraction(3, 2))), _w(2, ((1, 1), (0, 0), 1))))
+@example(pair=(_w(2, ((1, 1), (0, 0), 1)), _w(2, ((2, 0), (0, 0), Fraction(2, 3)), ((0, 1), (0, 0), Fraction(3, 2)))))
+@example(pair=(_w(2, ((0, 0), (1, 0), HALF)), _w(2, ((1, 0), (0, 0), 2))))  # halves that make ints
+@example(pair=(_w(1, ((0,), (2,), 1)), _w(1, ((3,), (0,), 1))))
+@example(pair=(_w(3, ((0, 0, 0), (0, 0, 2), 1), ((1, 0, 0), (1, 0, 0), HALF)), _w(3, ((1, 1, 1), (0, 0, 0), 1))))
+def test_product_matches_pairwise_leibniz_reference(pair):
+    a, b = pair
+    want = leibniz_product(a, b)
+    got = (a * b).terms
+    assert got == want
+    assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
+    assert_normal(got)
+
+
+@pytest.mark.parametrize("left, right, want", [
+    ("x^(10^20)", "x*y", {((10 ** 20 + 1, 1), (0, 0)): 1}),
+    ("x*y", "x^(10^20)", {((10 ** 20 + 1, 1), (0, 0)): 1}),
+    ("dx", "x^(10^20)", {((10 ** 20, 0), (1, 0)): 1, ((10 ** 20 - 1, 0), (0, 0)): 10 ** 20}),
+])
+def test_product_by_a_huge_power_of_x_is_immediate(left, right, want):
+    # a polynomial factor takes partial derivatives only up to the d
+    # exponents of the other factor, never up to its own x exponents
+    from dxext.parser import parse
+
+    factors = {"x^(10^20)": WeylElement.monomial(2, (10 ** 20, 0), (0, 0))}
+    a = factors.get(left) or parse(left, 2)
+    b = factors.get(right) or parse(right, 2)
+    start = time.perf_counter()
+    got = a * b
+    assert time.perf_counter() - start < 0.1
+    assert got.terms == want
